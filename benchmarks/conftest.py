@@ -83,6 +83,16 @@ def _release_heavy_bdd_state():
     gc.collect()
 
 
+def _roster_row(request) -> list[str]:
+    """One campaign of a bench artifact's roster, from its request."""
+    return [
+        request.model,
+        request.circuit,
+        request.bridge_kind or "",
+        request.routing,
+    ]
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _bench_artifact(request, results_dir, scale):
     """Emit ``results/BENCH_<name>.json`` for every benchmark module.
@@ -98,22 +108,16 @@ def _bench_artifact(request, results_dir, scale):
 
     module = request.module.__name__.rpartition(".")[2]
     name = module.removeprefix("test_bench_")
-    before_stuck = set(campaigns._stuck_cache)
-    before_bridge = set(campaigns._bridge_cache)
+    before = set(campaigns._memo)
     t0 = time.perf_counter()
     yield
     wall = time.perf_counter() - t0
 
     registry = obs.MetricsRegistry()
     roster: list[list[str]] = []
-    for key in sorted(set(campaigns._stuck_cache) - before_stuck):
-        registry.merge_snapshot(campaigns._stuck_cache[key].metrics().snapshot())
-        roster.append(["stuck-at", *key])
-    for key in sorted(set(campaigns._bridge_cache) - before_bridge):
-        registry.merge_snapshot(
-            campaigns._bridge_cache[key].metrics().snapshot()
-        )
-        roster.append(["bridging", *key])
+    for req in sorted(set(campaigns._memo) - before, key=_roster_row):
+        registry.merge_snapshot(campaigns._memo[req].metrics().snapshot())
+        roster.append(_roster_row(req))
     payload = {
         "wall_seconds": wall,
         "campaigns": roster,

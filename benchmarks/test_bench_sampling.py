@@ -49,7 +49,7 @@ def test_sampled_campaign_c432(benchmark, scale, results_dir):
     circuit = get_circuit("c432")
 
     def sampled_run():
-        campaigns._stuck_cache.clear()
+        campaigns._memo.clear()
         return stuck_at_campaign("c432", scale, mode="sampled")
 
     sampled_run()  # warm: fault enumeration + numpy packing paths
@@ -60,7 +60,7 @@ def test_sampled_campaign_c432(benchmark, scale, results_dir):
 
     faults = len(result.results)
     spent = result.patterns_spent()
-    budget = scale.effective_pattern_budget()
+    budget = scale.pattern_budget
     throughput = spent / seconds if seconds else float("inf")
     resolved_first_round = sum(
         1
@@ -117,7 +117,7 @@ def test_sampled_external_bench_mult16(benchmark, scale):
     workload = dataclasses.replace(scale, stuck_at_samples={entry: 48})
 
     def sampled_run():
-        campaigns._stuck_cache.clear()
+        campaigns._memo.clear()
         return stuck_at_campaign(entry, workload, mode="sampled")
 
     result = benchmark.pedantic(sampled_run, rounds=1, iterations=1)

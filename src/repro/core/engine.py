@@ -27,8 +27,7 @@ the legacy whole-manager rebuild (a full good-function reconstruction
 in a fresh manager) — with GC enabled that path should never trigger
 on the paper's workloads.
 
-When dynamic reordering is enabled (``reorder=True``, or
-``$REPRO_REORDER`` with the default ``reorder=None``), the engine
+When dynamic reordering is enabled (``reorder=True``), the engine
 additionally sifts the variable order (:meth:`BDDManager.sift
 <repro.bdd.manager.BDDManager.sift>`): once right after the good
 functions are built — the build usually dominates the live population,
@@ -41,8 +40,7 @@ exactly the same safe point.
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.bdd.cache import ManagerStats
 from repro.bdd.function import Function
@@ -62,20 +60,9 @@ from repro.faults.stuck_at import StuckAtFault
 #: safe even for circuits whose good functions alone exceed it.
 DEFAULT_GC_NODE_LIMIT = 100_000
 
-#: Environment switch for dynamic variable reordering. Engines built
-#: with ``reorder=None`` (the default everywhere, including the verify
-#: sweeps) consult it, so ``REPRO_REORDER=1`` flips a whole run.
-REORDER_ENV = "REPRO_REORDER"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
 #: Default live-node growth factor (vs. the post-sift baseline) that
 #: re-triggers sifting at the GC boundary.
 DEFAULT_REORDER_GROWTH = 2.0
-
-
-def env_reorder(environ: Mapping[str, str] = os.environ) -> bool:
-    """True when ``$REPRO_REORDER`` asks for dynamic reordering."""
-    return environ.get(REORDER_ENV, "").strip().lower() not in _FALSEY
 
 
 class DifferencePropagation:
@@ -89,7 +76,7 @@ class DifferencePropagation:
         decompose_threshold: int | None = None,
         gc_node_limit: int = DEFAULT_GC_NODE_LIMIT,
         rebuild_node_limit: int = 4_000_000,
-        reorder: bool | None = None,
+        reorder: bool = False,
         reorder_growth: float = DEFAULT_REORDER_GROWTH,
     ) -> None:
         self.circuit = circuit
@@ -101,8 +88,7 @@ class DifferencePropagation:
         #: current (adaptive) GC trigger; starts at ``gc_node_limit``
         #: and grows when a sweep finds the store mostly live
         self._gc_threshold = gc_node_limit
-        #: dynamic reordering policy: ``None`` defers to $REPRO_REORDER
-        self.reorder = env_reorder() if reorder is None else bool(reorder)
+        self.reorder = reorder
         self.reorder_growth = reorder_growth
         #: sifting passes this engine triggered / swaps they performed
         self.reorder_runs = 0

@@ -6,15 +6,21 @@ compact :class:`FaultResult` (plain fractions and names, no live OBDD
 handles) so results can be cached across the experiment suite without
 pinning BDD managers in memory.
 
+A campaign's identity is its :class:`CampaignRequest`: every input
+that determines the result, resolved from the :class:`Scale` once. The
+request keys both the process memo and the run ledger, so the two can
+never disagree about what "the same campaign" means.
+
 Campaigns run serially in-process by default; pass ``workers`` (or set
-``Scale.workers`` / ``$REPRO_WORKERS``) to shard the fault list over a
-process pool — see :mod:`repro.experiments.parallel`. Both paths
-produce bit-identical :class:`CampaignResult`\\ s.
+``Scale.workers``) to shard the fault list over a process pool — see
+:mod:`repro.experiments.parallel`. Both paths produce bit-identical
+:class:`CampaignResult`\\ s.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import random
 import time
@@ -25,6 +31,7 @@ from typing import Callable, Sequence
 from repro import obs
 from repro.bdd.ordering import dfs_fanin_order
 from repro.benchcircuits import get_circuit
+from repro.circuit.iscas import write_bench
 from repro.circuit.netlist import Circuit
 from repro.core.engine import DifferencePropagation
 from repro.core.metrics import (
@@ -34,7 +41,8 @@ from repro.core.metrics import (
     is_stuck_at_equivalent,
 )
 from repro.core.symbolic import CircuitFunctions
-from repro.experiments.config import Scale
+from repro.experiments import runcache
+from repro.experiments.config import CAMPAIGN_ENGINES, CAMPAIGN_MODES, Scale
 from repro.faults.bridging import BridgeKind, BridgingFault, enumerate_nfbfs
 from repro.faults.sampling import sample_bridging_faults
 from repro.faults.stuck_at import collapsed_checkpoint_faults
@@ -305,10 +313,106 @@ BITPARALLEL_EXHAUSTIVE_LIMIT = 14
 #: Sampled vector count for bitparallel campaigns beyond the frontier.
 BITPARALLEL_SAMPLE_VECTORS = 1024
 
+
+@dataclass(frozen=True)
+class CampaignRequest:
+    """The identity of one campaign: every input that determines its result.
+
+    One circuit, one fault model and one fault set through one routing
+    (``dp``/``bitparallel``/``sampled``), with the scale's per-circuit
+    slice already resolved. ``netlist`` digests the circuit's content
+    and ``code`` the library's sources, so an edited ``.bench`` file or
+    an edited engine never reuses a stale result. Requests compare (and
+    hash) exactly as their :meth:`projection` does, which makes one
+    request the key of the process memo and of the run ledger alike.
+
+    ``scale`` rides along for execution only: its worker count,
+    reordering and cache policies are result-neutral, so they stay out
+    of the identity.
+    """
+
+    circuit: str
+    model: str
+    bridge_kind: str | None
+    routing: str
+    seed: int
+    #: stuck-at sample limit or bridging sample target (None = all)
+    sample: int | None
+    decompose_threshold: int | None
+    ordering: str
+    #: sampled routing only (None otherwise)
+    ci_width: float | None
+    pattern_budget: int | None
+    netlist: str
+    code: str
+    scale: Scale = field(compare=False, repr=False)
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        scale: Scale,
+        kind: BridgeKind | None = None,
+        engine: str | None = None,
+        mode: str | None = None,
+    ) -> "CampaignRequest":
+        """Resolve ``scale`` (and per-call engine/mode overrides) for one
+        campaign on circuit ``name``; bridging when ``kind`` is given."""
+        engine = scale.engine if engine is None else engine
+        mode = scale.mode if mode is None else mode
+        if mode not in CAMPAIGN_MODES:
+            raise KeyError(
+                f"unknown campaign mode {mode!r}; "
+                f"known: {', '.join(CAMPAIGN_MODES)}"
+            )
+        if engine not in CAMPAIGN_ENGINES:
+            raise KeyError(
+                f"unknown campaign engine {engine!r}; "
+                f"known: {', '.join(CAMPAIGN_ENGINES)}"
+            )
+        # Sampled mode supersedes the engine choice: its estimator *is*
+        # an engine (the bit-parallel kernel driven by the sequential
+        # sampler), so "sampled" is the routing key.
+        routing = "sampled" if mode == "sampled" else engine
+        sampled = routing == "sampled"
+        netlist = write_bench(get_circuit(name)).encode("utf-8")
+        return cls(
+            circuit=name,
+            model="stuck-at" if kind is None else "bridging",
+            bridge_kind=None if kind is None else kind.value,
+            routing=routing,
+            seed=scale.seed,
+            sample=(
+                scale.stuck_at_limit(name)
+                if kind is None
+                else scale.bridging_target(name)
+            ),
+            decompose_threshold=scale.decompose_threshold(name),
+            ordering=scale.ordering(name),
+            ci_width=scale.ci_width if sampled else None,
+            pattern_budget=scale.pattern_budget if sampled else None,
+            netlist=hashlib.sha256(netlist).hexdigest(),
+            code=runcache.code_digest(),
+            scale=scale,
+        )
+
+    @property
+    def bridging(self) -> bool:
+        return self.bridge_kind is not None
+
+    def projection(self) -> dict:
+        """The normalized identity hashed into the ledger's run key."""
+        projection = {"schema": runcache.PROJECTION_SCHEMA}
+        for spec in dataclasses.fields(self):
+            if spec.compare:
+                projection[spec.name] = getattr(self, spec.name)
+        return projection
+
+
 _functions_cache: dict[tuple[str, int | None, str], CircuitFunctions] = {}
-_stuck_cache: dict[tuple[str, str, str], CampaignResult] = {}
-_bridge_cache: dict[tuple[str, str, str, str], CampaignResult] = {}
-_bitparallel_cache: dict[tuple[str, str], object] = {}
+#: every campaign this process has computed or served, by request
+_memo: dict[CampaignRequest, CampaignResult] = {}
+_bitparallel_cache: dict[tuple[str, int], object] = {}
 
 
 def circuit_functions(name: str, scale: Scale) -> CircuitFunctions:
@@ -335,8 +439,7 @@ def clear_campaign_caches() -> None:
     from repro.experiments import parallel
 
     _functions_cache.clear()
-    _stuck_cache.clear()
-    _bridge_cache.clear()
+    _memo.clear()
     _bitparallel_cache.clear()
     parallel.shutdown_pool()
 
@@ -350,13 +453,10 @@ def telemetry_report() -> list[str]:
     computed-table hit rate. Each row is a rendering of the campaign's
     merged :meth:`CampaignResult.metrics` registry.
     """
-    rows: list[tuple[str, str, str, str, CampaignResult]] = []
-    for (name, scale_name, engine), result in sorted(_stuck_cache.items()):
-        rows.append((name, "stuck-at", scale_name, engine, result))
-    for (name, kind, scale_name, engine), result in sorted(
-        _bridge_cache.items()
-    ):
-        rows.append((name, f"bridge/{kind}", scale_name, engine, result))
+    rows = sorted(
+        _memo.items(),
+        key=lambda item: (item[0].bridging, item[0].circuit, item[0].routing),
+    )
     if not rows:
         return ["campaign telemetry: no campaigns cached in this process"]
     lines = [
@@ -365,10 +465,13 @@ def telemetry_report() -> list[str]:
         f"{'sec':>8} {'peak':>9} {'live':>8} {'reclaimed':>9} {'gc':>4} "
         f"{'rebuilds':>8} {'sifts':>5} {'swaps':>7} {'cache-hit%':>10}",
     ]
-    for name, model, _scale_name, engine, result in rows:
+    for request, result in rows:
+        model = (
+            f"bridge/{request.bridge_kind}" if request.bridging else "stuck-at"
+        )
         metrics = result.metrics()
         lines.append(
-            f"{name:<10} {model:<12} {engine:<11} "
+            f"{request.circuit:<10} {model:<12} {request.routing:<11} "
             f"{int(metrics.counter_value('campaign.results')):>6} "
             f"{metrics.counter_value('campaign.seconds'):>8.2f} "
             f"{int(metrics.gauge_value('bdd.nodes.peak')):>9} "
@@ -381,42 +484,6 @@ def telemetry_report() -> list[str]:
             f"{100 * metrics.ratio('bdd.cache.hits', ('bdd.cache.hits', 'bdd.cache.misses')):>9.1f}%"
         )
     return lines
-
-
-def _resolve_engine(scale: Scale, engine: str | None) -> str:
-    """The campaign engine for one call: explicit arg, else the scale."""
-    from repro.experiments.config import CAMPAIGN_ENGINES
-
-    resolved = engine if engine is not None else scale.effective_engine()
-    if resolved not in CAMPAIGN_ENGINES:
-        raise KeyError(
-            f"unknown campaign engine {resolved!r}; "
-            f"known: {', '.join(CAMPAIGN_ENGINES)}"
-        )
-    return resolved
-
-
-def _resolve_routing(
-    scale: Scale, engine: str | None, mode: str | None
-) -> str:
-    """The chunk-body key one campaign call routes to.
-
-    Sampled mode supersedes the engine choice — its estimator *is* an
-    engine (the bit-parallel kernel driven by the sequential sampler),
-    so ``"sampled"`` acts as the engine key for dispatch, caching and
-    telemetry. Exact mode routes to the resolved exact engine.
-    """
-    from repro.experiments.config import CAMPAIGN_MODES
-
-    resolved_mode = mode if mode is not None else scale.effective_mode()
-    if resolved_mode not in CAMPAIGN_MODES:
-        raise KeyError(
-            f"unknown campaign mode {resolved_mode!r}; "
-            f"known: {', '.join(CAMPAIGN_MODES)}"
-        )
-    if resolved_mode == "sampled":
-        return "sampled"
-    return _resolve_engine(scale, engine)
 
 
 def _attach_strata(result: CampaignResult, sample) -> CampaignResult:
@@ -443,42 +510,10 @@ def stuck_at_campaign(
     """Collapsed checkpoint faults of circuit ``name`` under ``scale``.
 
     ``workers`` overrides the scale's worker policy for this call,
-    ``engine`` its engine policy and ``mode`` its exact/sampled policy;
-    the cache is shared between serial and parallel runs because their
-    results are identical.
+    ``engine`` its engine policy and ``mode`` its exact/sampled policy.
     """
-    from repro.experiments import runcache
-
-    routing = _resolve_routing(scale, engine, mode)
-    key = (name, scale.name, routing)
-    if key in _stuck_cache:
-        return _stuck_cache[key]
-    projection = None
-    if runcache.cache_enabled(scale):
-        projection = runcache.stuck_at_projection(name, scale, routing)
-        served = runcache.fetch(projection)
-        if served is not None:
-            _stuck_cache[key] = served
-            return served
-    circuit = get_circuit(name)
-    faults: Sequence[Fault] = collapsed_checkpoint_faults(circuit)
-    limit = scale.stuck_at_limit(name)
-    sample = None
-    if routing == "sampled":
-        from repro.sampling.strata import stratified_sample
-
-        sample = stratified_sample(circuit, faults, limit, seed=scale.seed)
-        faults = sample.faults
-    elif limit is not None and limit < len(faults):
-        rng = random.Random(scale.seed)
-        faults = sorted(rng.sample(list(faults), limit))
-    result = _dispatch(circuit, name, scale, faults, False, workers, routing)
-    if sample is not None:
-        result = _attach_strata(result, sample)
-    if projection is not None:
-        runcache.record(projection, result)
-    _stuck_cache[key] = result
-    return result
+    request = CampaignRequest.of(name, scale, engine=engine, mode=mode)
+    return campaign(request, workers)
 
 
 def bridging_campaign(
@@ -496,59 +531,75 @@ def bridging_campaign(
     mode draws through the stratified sampler, which applies the same
     distance weighting inside the bridge stratum.
     """
-    from repro.experiments import runcache
+    request = CampaignRequest.of(name, scale, kind, engine=engine, mode=mode)
+    return campaign(request, workers)
 
-    routing = _resolve_routing(scale, engine, mode)
-    key = (name, kind.value, scale.name, routing)
-    if key in _bridge_cache:
-        return _bridge_cache[key]
-    projection = None
-    if runcache.cache_enabled(scale):
-        projection = runcache.bridging_projection(name, kind, scale, routing)
-        served = runcache.fetch(projection)
-        if served is not None:
-            _bridge_cache[key] = served
-            return served
-    circuit = get_circuit(name)
-    candidates = list(enumerate_nfbfs(circuit, kind))
-    target = scale.bridging_target(name)
-    sample = None
-    if routing == "sampled":
+
+def campaign(
+    request: CampaignRequest, workers: int | None = None
+) -> CampaignResult:
+    """Run (or serve) one campaign: memo, then ledger, then compute.
+
+    The memo is shared between serial and parallel runs because their
+    results are identical; ``workers`` overrides the request's scale.
+    """
+    result = _memo.get(request)
+    if result is not None:
+        return result
+    cache = request.scale.cache
+    if cache:
+        result = runcache.fetch(request.projection())
+    if result is None:
+        circuit = get_circuit(request.circuit)
+        faults, sample = _draw_faults(request, circuit)
+        result = _dispatch(circuit, request, faults, workers)
+        if sample is not None:
+            result = _attach_strata(result, sample)
+        if cache:
+            runcache.record(request.projection(), result)
+    _memo[request] = result
+    return result
+
+
+def _draw_faults(request: CampaignRequest, circuit: Circuit):
+    """The request's fault list, plus its stratified sample when sampled."""
+    if request.bridging:
+        population: Sequence[Fault] = list(
+            enumerate_nfbfs(circuit, BridgeKind(request.bridge_kind))
+        )
+    else:
+        population = collapsed_checkpoint_faults(circuit)
+    size = request.sample
+    if request.routing == "sampled":
         from repro.sampling.strata import stratified_sample
 
         sample = stratified_sample(
-            circuit, candidates, target, seed=scale.seed
+            circuit, population, size, seed=request.seed
         )
-        faults: Sequence[Fault] = sample.faults
-    elif target is not None and target < len(candidates):
-        sampled = sample_bridging_faults(
-            circuit, candidates, target, seed=scale.seed
+        return sample.faults, sample
+    if size is None or size >= len(population):
+        return population, None
+    if request.bridging:
+        drawn = sample_bridging_faults(
+            circuit, population, size, seed=request.seed
         )
-        faults = [s.fault for s in sampled]
-    else:
-        faults = candidates
-    result = _dispatch(circuit, name, scale, faults, True, workers, routing)
-    if sample is not None:
-        result = _attach_strata(result, sample)
-    if projection is not None:
-        runcache.record(projection, result)
-    _bridge_cache[key] = result
-    return result
+        return [s.fault for s in drawn], None
+    rng = random.Random(request.seed)
+    return sorted(rng.sample(list(population), size)), None
 
 
 def _dispatch(
     circuit: Circuit,
-    name: str,
-    scale: Scale,
+    request: CampaignRequest,
     faults: Sequence[Fault],
-    bridging: bool,
     workers: int | None,
-    engine: str = "dp",
 ) -> CampaignResult:
     """Route one campaign to the serial or the parallel executor."""
     from repro.experiments import parallel
 
-    requested = workers if workers is not None else scale.effective_workers()
+    scale = request.scale
+    engine = request.routing
+    requested = workers if workers is not None else scale.workers
     n_workers = parallel.effective_workers(requested, circuit, len(faults))
     if engine == "bitparallel":
         # the kernel is already fault-parallel inside one process;
@@ -560,8 +611,8 @@ def _dispatch(
     sampler = obs.resource_sampler()
     with obs.span(
         "campaign.run",
-        circuit=name,
-        model="bridging" if bridging else "stuck-at",
+        circuit=request.circuit,
+        model=request.model,
         scale=scale.name,
         faults=len(faults),
         workers=n_workers,
@@ -572,15 +623,22 @@ def _dispatch(
             if n_workers > 1:
                 result = parallel.run_campaign(
                     circuit,
-                    name,
+                    request.circuit,
                     scale,
                     faults,
-                    bridging=bridging,
+                    bridging=request.bridging,
                     n_workers=n_workers,
                     engine=engine,
                 )
             else:
-                result = _run(circuit, name, scale, faults, bridging, engine)
+                result = _run(
+                    circuit,
+                    request.circuit,
+                    scale,
+                    faults,
+                    request.bridging,
+                    engine,
+                )
         finally:
             series = sampler.stop()
     if series:
@@ -662,22 +720,6 @@ def chunk_metrics(
     return registry
 
 
-def chunk_telemetry(
-    engine: DifferencePropagation,
-    before_manager,
-    before_stats,
-) -> dict[str, int]:
-    """Legacy dict view over :func:`chunk_metrics` (same field names)."""
-    registry = chunk_metrics(engine, before_manager, before_stats)
-    telemetry = {
-        name: int(registry.counter_value(metric))
-        for name, metric in CHUNK_COUNTER_METRICS.items()
-        if name not in ("num_faults", "seconds")
-    }
-    telemetry["live_nodes"] = int(registry.gauge_value("bdd.nodes.live"))
-    return telemetry
-
-
 def store_engine_functions(
     name: str, scale: Scale, engine: DifferencePropagation
 ) -> CircuitFunctions:
@@ -698,12 +740,12 @@ def store_engine_functions(
 
 
 def _bitparallel_simulator(name: str, scale: Scale):
-    """Shared kernel instance per (circuit, scale): exhaustive inside
+    """Shared kernel instance per (circuit, seed): exhaustive inside
     the frontier, a seeded random-pattern sample beyond it."""
     from repro.simulation import packing
     from repro.simulation.bitparallel import BitParallelSimulator
 
-    key = (name, scale.name)
+    key = (name, scale.seed)
     sim = _bitparallel_cache.get(key)
     if sim is None:
         circuit = get_circuit(name)
@@ -819,7 +861,7 @@ def _dp_chunk_body(
             functions=functions,
             gc_node_limit=CAMPAIGN_GC_LIMIT,
             rebuild_node_limit=CAMPAIGN_REBUILD_LIMIT,
-            reorder=scale.effective_reorder(),
+            reorder=scale.reorder,
         )
         before_manager = functions.manager
         before_stats = before_manager.stats()
@@ -846,7 +888,7 @@ def _dp_chunk_body(
 #: Engine-registry dispatch for chunk execution: every campaign chunk —
 #: serial or pool worker — routes through this table by engine key.
 #: ``"sampled"`` is the statistical estimator selected by
-#: ``Scale.mode``/``--mode sampled``/``$REPRO_MODE``.
+#: ``Scale.mode``.
 CHUNK_BODIES: dict[str, Callable[..., tuple]] = {
     "dp": _dp_chunk_body,
     "bitparallel": _bitparallel_chunk_body,

@@ -161,30 +161,23 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    scale = get_scale(args.scale)
-    if args.workers is not None:
-        scale = dataclasses.replace(scale, workers=args.workers)
-    if args.engine is not None:
-        scale = dataclasses.replace(scale, engine=args.engine)
-    if args.mode is not None:
-        scale = dataclasses.replace(scale, mode=args.mode)
-        # Propagate through the environment too: pool workers consult
-        # $REPRO_MODE when their spec's scale defers to it.
-        os.environ["REPRO_MODE"] = args.mode
-    if args.ci_width is not None:
-        if not 0.0 < args.ci_width <= 0.5:
-            parser.error(f"--ci-width {args.ci_width} outside (0, 0.5]")
-        scale = dataclasses.replace(scale, ci_width=args.ci_width)
-        os.environ["REPRO_CI_WIDTH"] = repr(args.ci_width)
-    if args.reorder:
-        scale = dataclasses.replace(scale, reorder=True)
-        # Propagate through the environment too: pool workers build
-        # their own engines and consult $REPRO_REORDER directly.
-        os.environ["REPRO_REORDER"] = "1"
-    if args.cache:
-        scale = dataclasses.replace(scale, cache=True)
-        # Keep an explicit ledger path from $REPRO_CACHE if one is set.
-        os.environ.setdefault("REPRO_CACHE", "1")
+    try:
+        scale = get_scale(args.scale)
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
+    if args.ci_width is not None and not 0.0 < args.ci_width <= 0.5:
+        parser.error(f"--ci-width {args.ci_width} outside (0, 0.5]")
+    # flag > env > default: flags override the env-resolved scale
+    flags = {
+        "workers": args.workers,
+        "engine": args.engine,
+        "mode": args.mode,
+        "ci_width": args.ci_width,
+        "reorder": args.reorder or None,
+        "cache": args.cache or None,
+    }
+    given = {key: value for key, value in flags.items() if value is not None}
+    scale = dataclasses.replace(scale, **given)
     if args.resource:
         from repro.obs import resource as resource_mod
 
@@ -214,16 +207,15 @@ def main(argv: list[str] | None = None) -> int:
         artifact_dir.mkdir(parents=True, exist_ok=True)
 
     log.info(
-        "scale: %s  circuits: %s%s%s%s%s",
+        "scale: %s  circuits: %s  workers: %d  engine: %s  mode: %s%s%s%s",
         scale.name,
         ", ".join(scale.circuits),
-        f"  workers: {args.workers}" if args.workers else "",
-        f"  engine: {scale.engine}" if scale.engine else "",
-        "  reorder: on" if scale.effective_reorder() else "",
+        scale.workers,
+        scale.engine,
+        scale.mode,
+        f" (ci±{scale.ci_width})" if scale.mode == "sampled" else "",
+        "  reorder: on" if scale.reorder else "",
         "  tracing: on" if tracing else "",
-        f"  mode: sampled (ci±{scale.effective_ci_width()})"
-        if scale.effective_mode() == "sampled"
-        else "",
     )
     failures = 0
     report: list[str] = [
@@ -324,7 +316,7 @@ def _write_experiment_json(
         "data": obs.json_safe(result.data),
         "manifest": manifest.to_dict(),
     }
-    if runcache.cache_enabled(scale):
+    if scale.cache:
         document["campaign_cache"] = runcache.cache_stats()
     path = artifact_dir / f"{result.exp_id}.json"
     path.write_text(

@@ -16,15 +16,34 @@ are provided:
 
 Select with ``REPRO_SCALE=paper`` in the environment or the ``--scale``
 CLI flag.
+
+Configuration is resolved once, at the edge: :func:`get_scale` is the
+only reader of the campaign ``REPRO_*`` variables, and a ``Scale`` it
+returns carries concrete values for every policy field. A ``Scale(...)``
+built in code ignores the environment entirely; CLI flags override the
+resolved scale with :func:`dataclasses.replace` (flag > env > default).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
-from repro.core.engine import env_reorder
+from repro.obs.store import env_cache_enabled
+
+#: Engines the campaign layer can route to.
+CAMPAIGN_ENGINES = ("dp", "bitparallel")
+
+#: Campaign modes the dispatch layer can route to.
+CAMPAIGN_MODES = ("exact", "sampled")
+
+#: Default target CI half-width for sampled campaigns.
+DEFAULT_CI_WIDTH = 0.05
+
+#: Default per-fault pattern budget for sampled campaigns.
+DEFAULT_PATTERN_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -55,39 +74,33 @@ class Scale:
     #: faster on the deep SEC/DED circuit). Ordering never changes any
     #: computed quantity, only runtime.
     orderings: Mapping[str, str] = field(default_factory=dict)
-    #: worker processes for campaign execution; ``None`` defers to the
-    #: ``$REPRO_WORKERS`` environment variable, then serial. Campaigns
-    #: on tiny circuits fall back to serial regardless — results are
+    #: worker processes for campaign execution. Campaigns on tiny
+    #: circuits fall back to serial regardless — results are
     #: bit-identical either way (see ``repro.experiments.parallel``).
-    workers: int | None = None
-    #: campaign engine: ``"dp"`` (exact OBDD Δ-propagation, default) or
+    workers: int = 1
+    #: campaign engine: ``"dp"`` (exact OBDD Δ-propagation) or
     #: ``"bitparallel"`` (the vectorized kernel — exact on exhaustive
-    #: circuits, sampled beyond them). ``None`` defers to the
-    #: ``$REPRO_ENGINE`` environment variable, then ``"dp"``.
-    engine: str | None = None
+    #: circuits, sampled beyond them)
+    engine: str = "dp"
     #: dynamic variable reordering (Rudell sifting) in the DP engine:
     #: an initial sift after the good-function build plus growth-
     #: triggered re-sifts at the GC boundary. Never changes any computed
-    #: quantity, only memory/runtime. ``None`` defers to the
-    #: ``$REPRO_REORDER`` environment variable, then off.
-    reorder: bool | None = None
-    #: campaign mode: ``"exact"`` (closed-form detectabilities, default)
-    #: or ``"sampled"`` (stratified Monte-Carlo estimation with Wilson
-    #: confidence intervals — see :mod:`repro.sampling`). ``None``
-    #: defers to ``$REPRO_MODE``, then ``"exact"``.
-    mode: str | None = None
-    #: sampled mode's target CI half-width per fault; ``None`` defers
-    #: to ``$REPRO_CI_WIDTH``, then 0.05.
-    ci_width: float | None = None
-    #: sampled mode's per-fault pattern budget; ``None`` defers to
-    #: ``$REPRO_PATTERN_BUDGET``, then 4096.
-    pattern_budget: int | None = None
+    #: quantity, only memory/runtime.
+    reorder: bool = False
+    #: campaign mode: ``"exact"`` (closed-form detectabilities) or
+    #: ``"sampled"`` (stratified Monte-Carlo estimation with Wilson
+    #: confidence intervals — see :mod:`repro.sampling`)
+    mode: str = "exact"
+    #: sampled mode's target CI half-width per fault (``None`` is only
+    #: meaningful for scales that never run a sampled campaign)
+    ci_width: float | None = DEFAULT_CI_WIDTH
+    #: sampled mode's per-fault pattern budget (``None`` as above)
+    pattern_budget: int | None = DEFAULT_PATTERN_BUDGET
     #: consult the content-addressed run ledger (``results/ledger/``)
     #: before computing a campaign, and record fresh results into it.
-    #: ``None`` defers to ``$REPRO_CACHE``, then off. A ledger-served
-    #: result is equal to the computed one (exact fractions round
-    #: trip); only the execution telemetry differs.
-    cache: bool | None = None
+    #: A ledger-served result is equal to the computed one (exact
+    #: fractions round trip); only the execution telemetry differs.
+    cache: bool = False
 
     def stuck_at_limit(self, circuit: str) -> int | None:
         return self.stuck_at_samples.get(circuit)
@@ -101,137 +114,84 @@ class Scale:
     def ordering(self, circuit: str) -> str:
         return self.orderings.get(circuit, "declared")
 
-    def effective_workers(self) -> int:
-        """Requested worker count: explicit field, else ``$REPRO_WORKERS``."""
-        if self.workers is not None:
-            return max(1, self.workers)
-        return env_workers()
-
+    # The benchmark harness calls these two accessors; keep them.
     def effective_engine(self) -> str:
-        """Campaign engine: explicit field, else ``$REPRO_ENGINE``."""
-        if self.engine is not None:
-            return self.engine
-        return env_engine()
+        return self.engine
 
     def effective_reorder(self) -> bool:
-        """Reordering policy: explicit field, else ``$REPRO_REORDER``."""
-        if self.reorder is not None:
-            return self.reorder
-        return env_reorder()
-
-    def effective_mode(self) -> str:
-        """Campaign mode: explicit field, else ``$REPRO_MODE``."""
-        if self.mode is not None:
-            return self.mode
-        return env_mode()
-
-    def effective_ci_width(self) -> float:
-        """Target CI half-width: explicit field, else ``$REPRO_CI_WIDTH``."""
-        if self.ci_width is not None:
-            return self.ci_width
-        return env_ci_width()
-
-    def effective_pattern_budget(self) -> int:
-        """Pattern budget: explicit field, else ``$REPRO_PATTERN_BUDGET``."""
-        if self.pattern_budget is not None:
-            return max(1, self.pattern_budget)
-        return env_pattern_budget()
-
-    def effective_cache(self) -> bool:
-        """Run-ledger policy: explicit field, else ``$REPRO_CACHE``."""
-        if self.cache is not None:
-            return self.cache
-        from repro.obs.store import env_cache_enabled
-
-        return env_cache_enabled()
+        return self.reorder
 
 
-def env_workers() -> int:
-    """Worker count from ``$REPRO_WORKERS`` (unset/invalid → 1, serial)."""
-    raw = os.environ.get("REPRO_WORKERS", "")
+def _choice(known: tuple[str, ...]):
+    def parse(variable: str, raw: str) -> str:
+        if raw not in known:
+            raise KeyError(
+                f"unknown ${variable} {raw!r}; known: {', '.join(known)}"
+            )
+        return raw
+
+    return parse
+
+
+def _number(convert, valid, requirement: str):
+    def parse(variable: str, raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise ValueError(f"${variable} {raw!r} is not {requirement}")
+        return value
+
+    return parse
+
+
+def _workers(variable: str, raw: str) -> int:
     try:
         return max(1, int(raw))
-    except ValueError:
+    except ValueError:  # an unparsable count means serial
         return 1
 
 
-#: Engines the campaign layer can route to.
-CAMPAIGN_ENGINES = ("dp", "bitparallel")
+_FALSEY = frozenset(("", "0", "false", "no", "off"))
 
 
-def env_engine() -> str:
-    """Campaign engine from ``$REPRO_ENGINE`` (unset/empty → ``"dp"``)."""
-    raw = os.environ.get("REPRO_ENGINE", "").strip()
-    if not raw:
-        return "dp"
-    if raw not in CAMPAIGN_ENGINES:
-        raise KeyError(
-            f"unknown $REPRO_ENGINE {raw!r}; "
-            f"known: {', '.join(CAMPAIGN_ENGINES)}"
-        )
-    return raw
+def _switch(variable: str, raw: str) -> bool:
+    return raw.lower() not in _FALSEY
 
 
-#: Campaign modes the dispatch layer can route to.
-CAMPAIGN_MODES = ("exact", "sampled")
-
-#: Default target CI half-width for sampled campaigns.
-DEFAULT_CI_WIDTH = 0.05
-
-#: Default per-fault pattern budget for sampled campaigns.
-DEFAULT_PATTERN_BUDGET = 4096
-
-
-def env_mode() -> str:
-    """Campaign mode from ``$REPRO_MODE`` (unset/empty → ``"exact"``)."""
-    raw = os.environ.get("REPRO_MODE", "").strip()
-    if not raw:
-        return "exact"
-    if raw not in CAMPAIGN_MODES:
-        raise KeyError(
-            f"unknown $REPRO_MODE {raw!r}; "
-            f"known: {', '.join(CAMPAIGN_MODES)}"
-        )
-    return raw
+#: campaign variable -> (the ``Scale`` field it sets, its parser)
+_CAMPAIGN_ENV = {
+    "REPRO_WORKERS": ("workers", _workers),
+    "REPRO_ENGINE": ("engine", _choice(CAMPAIGN_ENGINES)),
+    "REPRO_MODE": ("mode", _choice(CAMPAIGN_MODES)),
+    "REPRO_CI_WIDTH": (
+        "ci_width",
+        _number(float, lambda w: 0.0 < w <= 0.5, "a number in (0, 0.5]"),
+    ),
+    "REPRO_PATTERN_BUDGET": (
+        "pattern_budget",
+        _number(int, lambda budget: budget >= 1, "a positive integer"),
+    ),
+    "REPRO_REORDER": ("reorder", _switch),
+    # the ledger-directory form of the same variable is read by obs.store
+    "REPRO_CACHE": ("cache", lambda var, raw: env_cache_enabled({var: raw})),
+}
 
 
-def env_ci_width() -> float:
-    """Target CI half-width from ``$REPRO_CI_WIDTH``.
+def env_overrides(environ: Mapping[str, str] = os.environ) -> dict[str, Any]:
+    """The ``Scale`` fields set by the campaign ``REPRO_*`` variables.
 
-    Unset/empty falls back to :data:`DEFAULT_CI_WIDTH`; a set but
-    unparsable or out-of-range value raises rather than silently
-    running a campaign at the wrong precision.
+    Only variables that are present and non-blank appear. A set but
+    invalid engine, mode, CI width or pattern budget raises rather than
+    silently running a campaign under the wrong policy.
     """
-    raw = os.environ.get("REPRO_CI_WIDTH", "").strip()
-    if not raw:
-        return DEFAULT_CI_WIDTH
-    try:
-        width = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"$REPRO_CI_WIDTH {raw!r} is not a number"
-        ) from None
-    if not 0.0 < width <= 0.5:
-        raise ValueError(
-            f"$REPRO_CI_WIDTH {width} outside (0, 0.5]"
-        )
-    return width
-
-
-def env_pattern_budget() -> int:
-    """Pattern budget from ``$REPRO_PATTERN_BUDGET`` (invalid raises)."""
-    raw = os.environ.get("REPRO_PATTERN_BUDGET", "").strip()
-    if not raw:
-        return DEFAULT_PATTERN_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"$REPRO_PATTERN_BUDGET {raw!r} is not an integer"
-        ) from None
-    if budget < 1:
-        raise ValueError(f"$REPRO_PATTERN_BUDGET {budget} must be positive")
-    return budget
+    overrides: dict[str, Any] = {}
+    for variable, (name, parse) in _CAMPAIGN_ENV.items():
+        raw = environ.get(variable, "").strip()
+        if raw:
+            overrides[name] = parse(variable, raw)
+    return overrides
 
 
 SCALES: dict[str, Scale] = {
@@ -266,13 +226,17 @@ SCALES: dict[str, Scale] = {
 }
 
 
-def get_scale(name: str | None = None) -> Scale:
-    """Resolve a scale by name, falling back to ``$REPRO_SCALE`` then ``ci``."""
+def get_scale(
+    name: str | None = None, environ: Mapping[str, str] = os.environ
+) -> Scale:
+    """Resolve a scale by name (else ``$REPRO_SCALE``, else ``ci``) and
+    apply the campaign ``REPRO_*`` variables in ``environ`` to it."""
     if name is None:
-        name = os.environ.get("REPRO_SCALE", "ci")
+        name = environ.get("REPRO_SCALE", "").strip() or "ci"
     try:
-        return SCALES[name]
+        scale = SCALES[name]
     except KeyError:
         raise KeyError(
             f"unknown scale {name!r}; known: {', '.join(SCALES)}"
         ) from None
+    return dataclasses.replace(scale, **env_overrides(environ))

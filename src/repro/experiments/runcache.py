@@ -1,23 +1,24 @@
 """Campaign run-cache: the ledger codec for :class:`CampaignResult`.
 
 :mod:`repro.obs.store` stores opaque JSON documents by content hash;
-this module is the campaign-shaped layer on top of it — it knows which
-manifest fields determine a campaign's result (the **projection**
-hashed into the run key), how to reduce a finished
-:class:`~repro.experiments.campaigns.CampaignResult` to an exact JSON
-body, and how to rebuild an identical result from that body.
+this module is the campaign-shaped layer on top of it — it reduces a
+finished :class:`~repro.experiments.campaigns.CampaignResult` to an
+exact JSON body and rebuilds an identical result from that body.
 
-The projection deliberately includes only what changes the computed
-numbers:
+A campaign's run key is the hash of
+:meth:`CampaignRequest.projection
+<repro.experiments.campaigns.CampaignRequest.projection>`, which holds
+only what changes the computed numbers:
 
 * circuit name, fault model (and bridge dominance), the resolved
   routing key (``dp`` / ``bitparallel`` / ``sampled``);
 * the master seed and every scale knob that shapes the fault set or
-  the estimator (sample limits, decomposition threshold, variable
+  the estimator (sample size, decomposition threshold, variable
   ordering, sampled-mode precision knobs);
-* the git SHA of the code that computed it.
+* the SHA-256 of the circuit's ``.bench`` rendering (``netlist``) and
+  of the library's sources (``code``, :func:`code_digest`).
 
-Worker count and reordering policy are *excluded*: both are proven
+Worker count, reordering and cache policy are *excluded*: all are
 result-neutral (``tests/test_parallel_campaigns.py``, the reorder
 oracles), so a serial run can serve a later ``--workers 8`` run and
 vice versa.
@@ -32,11 +33,14 @@ is intentionally *not* stored: a served result did no work, and its
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Mapping
 
+import repro
 from repro.benchcircuits import get_circuit
-from repro.experiments.config import Scale
 from repro.faults.bridging import BridgeKind, BridgingFault
 from repro.faults.lines import Line
 from repro.faults.stuck_at import StuckAtFault
@@ -48,18 +52,11 @@ BODY_SCHEMA = "repro.campaign-result/1"
 
 #: Schema tag inside every run-key projection, so a future projection
 #: change (new knob, new model) can never collide with old keys.
-PROJECTION_SCHEMA = "repro.run-key/1"
+PROJECTION_SCHEMA = "repro.run-key/2"
 
 log = get_logger("repro.experiments.runcache")
 
 _LEDGERS: dict[str, _store.RunLedger] = {}
-
-
-def cache_enabled(scale: Scale | None = None) -> bool:
-    """Whether campaigns should consult the ledger for this run."""
-    if scale is not None:
-        return scale.effective_cache()
-    return _store.env_cache_enabled()
 
 
 def ledger() -> _store.RunLedger:
@@ -81,47 +78,28 @@ def cache_stats() -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Run-key projections
+# Code identity
 # ----------------------------------------------------------------------
-def campaign_projection(
-    name: str,
-    scale: Scale,
-    routing: str,
-    model: str,
-    bridge_kind: str | None = None,
-) -> dict[str, Any]:
-    """The normalized, result-determining identity of one campaign."""
-    projection: dict[str, Any] = {
-        "schema": PROJECTION_SCHEMA,
-        "circuit": name,
-        "model": model,
-        "bridge_kind": bridge_kind,
-        "routing": routing,
-        "seed": scale.seed,
-        "stuck_at_limit": scale.stuck_at_limit(name),
-        "bridging_target": scale.bridging_target(name),
-        "decompose_threshold": scale.decompose_threshold(name),
-        "ordering": scale.ordering(name),
-        "git_sha": _store.git_sha_cached(),
-    }
-    if routing == "sampled":
-        projection["ci_width"] = scale.effective_ci_width()
-        projection["pattern_budget"] = scale.effective_pattern_budget()
-    return projection
-
-
-def stuck_at_projection(
-    name: str, scale: Scale, routing: str
-) -> dict[str, Any]:
-    return campaign_projection(name, scale, routing, model="stuck-at")
-
-
-def bridging_projection(
-    name: str, kind: BridgeKind, scale: Scale, routing: str
-) -> dict[str, Any]:
-    return campaign_projection(
-        name, scale, routing, model="bridging", bridge_kind=kind.value
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``: each file's
+    relative path and content digest, in sorted path order."""
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
     )
+    digest = hashlib.sha256()
+    for relative, path in files:
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{relative}\0{content}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.cache
+def code_digest() -> str:
+    """:func:`source_digest` of the installed ``repro`` package, once per
+    process. Unlike a commit SHA it sees uncommitted edits and needs no
+    checkout."""
+    return source_digest(Path(repro.__file__).resolve().parent)
 
 
 # ----------------------------------------------------------------------

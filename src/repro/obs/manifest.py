@@ -97,17 +97,13 @@ class RunManifest:
     #: installed numpy version (``None`` without numpy) — kernel-backend
     #: provenance for perf-trajectory comparability
     numpy: str | None = None
-    #: effective campaign engine after ``Scale.engine``/``$REPRO_ENGINE``
-    #: resolution (``None`` when no scale/engine context applies)
+    #: the run scale's campaign engine (``None`` without a scale)
     engine: str | None = None
-    #: effective dynamic-reordering policy after ``Scale.reorder``/
-    #: ``$REPRO_REORDER`` resolution (``None`` when no context applies)
+    #: the run scale's dynamic-reordering policy (``None`` without one)
     reorder: bool | None = None
-    #: effective campaign mode after ``Scale.mode``/``$REPRO_MODE``
-    #: resolution (``None`` when no scale/mode context applies)
+    #: the run scale's campaign mode (``None`` without a scale)
     mode: str | None = None
-    #: sampled mode's effective target CI half-width (``None`` outside
-    #: sampled-mode context)
+    #: sampled mode's target CI half-width (``None`` outside sampled mode)
     ci_width: float | None = None
     #: resource time-series summary for the run (the dict shape of
     #: :meth:`repro.obs.resource.ResourceSeries.summary`; ``None`` when
@@ -131,49 +127,22 @@ class RunManifest:
     ) -> "RunManifest":
         """Snapshot the current process (pass the run's ``Scale`` if any).
 
-        ``scale`` duck-types on ``name``/``seed``/``circuits`` (and
-        ``effective_engine()`` when present) so the obs layer stays
-        importable from everywhere below ``experiments``. ``engine``
-        overrides the scale's resolution; without either, a bare
-        ``$REPRO_ENGINE`` is recorded verbatim.
+        ``scale`` duck-types on ``name``/``seed``/``circuits`` and the
+        policy fields ``engine``/``reorder``/``mode``/``ci_width`` so the
+        obs layer stays importable from everywhere below
+        ``experiments``. The scale is already resolved, so its fields
+        are recorded as they are; explicit arguments override them.
+        ``env`` keeps the raw ``REPRO_*`` variables verbatim.
         """
         scale_name = getattr(scale, "name", None)
         if engine is None:
-            resolve = getattr(scale, "effective_engine", None)
-            if callable(resolve):
-                engine = resolve()
-            else:
-                engine = os.environ.get("REPRO_ENGINE", "").strip() or None
+            engine = getattr(scale, "engine", None)
         if reorder is None:
-            resolve = getattr(scale, "effective_reorder", None)
-            if callable(resolve):
-                reorder = resolve()
-            elif "REPRO_REORDER" in os.environ:
-                # same falsey set as core.engine.env_reorder, inlined so
-                # the obs layer stays import-independent of the engine
-                reorder = os.environ["REPRO_REORDER"].strip().lower() not in (
-                    "",
-                    "0",
-                    "false",
-                    "no",
-                    "off",
-                )
+            reorder = getattr(scale, "reorder", None)
         if mode is None:
-            resolve = getattr(scale, "effective_mode", None)
-            if callable(resolve):
-                mode = resolve()
-            else:
-                mode = os.environ.get("REPRO_MODE", "").strip() or None
+            mode = getattr(scale, "mode", None)
         if ci_width is None and mode == "sampled":
-            resolve = getattr(scale, "effective_ci_width", None)
-            if callable(resolve):
-                ci_width = resolve()
-            else:
-                raw = os.environ.get("REPRO_CI_WIDTH", "").strip()
-                try:
-                    ci_width = float(raw) if raw else None
-                except ValueError:
-                    ci_width = None
+            ci_width = getattr(scale, "ci_width", None)
         seed = getattr(scale, "seed", None)
         if seed is None:
             try:

@@ -3,8 +3,8 @@
 Every campaign (and, later, every service request) can be named by a
 **run key**: the SHA-256 of a canonical JSON projection of its run
 manifest — circuit roster, fault model, engine/mode, seed, the scale
-knobs that shape the fault set, and the git SHA of the code that
-computed it. Two runs with the same key are byte-identical by
+knobs that shape the fault set, and content digests of the netlist and
+of the code that computed it. Two runs with the same key are byte-identical by
 construction, so their results can be *served* instead of recomputed.
 
 The ledger is a plain directory (default ``results/ledger/``)::
@@ -70,29 +70,13 @@ def canonical_json(value: Any) -> str:
     )
 
 
-_GIT_SHA_CACHE: list[str | None] = []
-
-
-def git_sha_cached() -> str | None:
-    """:func:`~repro.obs.manifest.git_sha`, resolved once per process.
-
-    Run-key projections embed the code version; shelling out to git for
-    every campaign would dominate small-circuit runs, and the SHA
-    cannot change under a running process that matters here.
-    """
-    if not _GIT_SHA_CACHE:
-        from repro.obs.manifest import git_sha
-
-        _GIT_SHA_CACHE.append(git_sha())
-    return _GIT_SHA_CACHE[0]
-
-
 def run_key(projection: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of a normalized manifest projection.
 
     The projection must already be *normalized*: include exactly the
     fields that determine the result (circuit roster, fault model,
-    engine/mode, seed, scale knobs, git SHA) and nothing incidental
+    engine/mode, seed, scale knobs, netlist and code digests) and
+    nothing incidental
     (hostnames, timestamps, pids). Hash equality then *is* result
     equality.
     """

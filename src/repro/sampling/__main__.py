@@ -66,8 +66,8 @@ def campaign_document(entry: str, campaign, scale, elapsed: float) -> dict:
         "mode": "sampled",
         "settings": {
             "seed": scale.seed,
-            "ci_width": scale.effective_ci_width(),
-            "pattern_budget": scale.effective_pattern_budget(),
+            "ci_width": scale.ci_width,
+            "pattern_budget": scale.pattern_budget,
         },
         "num_faults": len(campaign.results),
         "patterns_spent": campaign.patterns_spent(),
@@ -79,8 +79,6 @@ def campaign_document(entry: str, campaign, scale, elapsed: float) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-
     from repro.experiments.config import get_scale
     from repro.sampling.roster import resolve_roster, roster_display_name
 
@@ -148,19 +146,19 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, FileNotFoundError) as exc:
         parser.error(str(exc))
 
-    scale = get_scale(args.scale)
+    try:
+        scale = get_scale(args.scale)
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
     scale = dataclasses.replace(scale, mode="sampled")
-    os.environ["REPRO_MODE"] = "sampled"
     if args.ci_width is not None:
         if not 0.0 < args.ci_width <= 0.5:
             parser.error(f"--ci-width {args.ci_width} outside (0, 0.5]")
         scale = dataclasses.replace(scale, ci_width=args.ci_width)
-        os.environ["REPRO_CI_WIDTH"] = repr(args.ci_width)
     if args.budget is not None:
         if args.budget < 1:
             parser.error(f"--budget {args.budget} must be positive")
         scale = dataclasses.replace(scale, pattern_budget=args.budget)
-        os.environ["REPRO_PATTERN_BUDGET"] = str(args.budget)
     if args.seed is not None:
         scale = dataclasses.replace(scale, seed=args.seed)
     if args.faults is not None:

@@ -5,7 +5,7 @@ rational, this engine *estimates* it: seeded random pattern rounds on
 the bit-parallel kernel, a Wilson score interval per fault, and a
 sequential stopping rule that keeps spending the pattern budget on a
 fault only until its interval half-width drops to the target
-(``Scale.ci_width`` / ``--ci-width`` / ``$REPRO_CI_WIDTH``). Easy
+(``Scale.ci_width`` / ``--ci-width``). Easy
 faults (detectability near 0 or 1) resolve in the first round; the
 budget concentrates on the genuinely uncertain middle.
 
@@ -66,8 +66,8 @@ class SampledSettings:
         """The policy a :class:`~repro.experiments.config.Scale` implies."""
         return cls(
             seed=scale.seed,
-            ci_width=scale.effective_ci_width(),
-            pattern_budget=scale.effective_pattern_budget(),
+            ci_width=scale.ci_width,
+            pattern_budget=scale.pattern_budget,
         )
 
     def round_sizes(self) -> list[int]:

@@ -9,6 +9,12 @@ Three phases, any failure turning the exit code nonzero:
 3. **seeded** — the defect-seeding self-check proving the oracles
    would have caught a defective engine.
 
+The campaign variables ``$REPRO_MODE``, ``$REPRO_ENGINE`` and
+``$REPRO_REORDER`` are resolved once here, by the same resolver as the
+experiment suite's (:func:`repro.experiments.config.env_overrides`);
+``$REPRO_REORDER`` turns sifting on in the conformance and metamorphic
+phases' DP engines.
+
 With ``--mode sampled`` (or ``$REPRO_MODE=sampled``) a fourth phase
 runs: **sampled conformance**, the consistency-oracle battery of
 :mod:`repro.verify.sampled` over sampled campaigns on the sweep's
@@ -27,9 +33,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from repro.experiments.config import env_overrides
 from repro.verify.conformance import ENGINES, SWEEPS, run_conformance
 from repro.verify.metamorphic import (
     DEFAULT_CIRCUITS,
@@ -92,35 +98,39 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    mode = args.mode
-    if mode is None:
-        mode = os.environ.get("REPRO_MODE", "").strip() or "exact"
-    if mode not in ("exact", "sampled"):
-        parser.error(f"unknown mode {mode!r}; known: exact, sampled")
+    try:
+        env = env_overrides()
+    except (KeyError, ValueError) as exc:
+        parser.error(exc.args[0])
+    mode = args.mode or env.get("mode", "exact")
+    reorder = env.get("reorder", False)
 
     engines = args.engines
-    if engines is None:
-        env_engine = os.environ.get("REPRO_ENGINE", "").strip()
-        if env_engine:
-            if env_engine not in ENGINES:
-                parser.error(
-                    f"$REPRO_ENGINE={env_engine!r} is not a registered "
-                    f"engine (known: {', '.join(sorted(ENGINES))})"
-                )
-            # the requested engine plus the dp reference, so the
-            # cross-engine comparison still has an independent witness
-            engines = sorted({env_engine, "dp"})
+    if engines is None and "engine" in env:
+        if env["engine"] not in ENGINES:
+            parser.error(
+                f"$REPRO_ENGINE={env['engine']!r} is not a registered "
+                f"engine (known: {', '.join(sorted(ENGINES))})"
+            )
+        # the requested engine plus the dp reference, so the
+        # cross-engine comparison still has an independent witness
+        engines = sorted({env["engine"], "dp"})
 
     failed = False
     if not args.skip_conformance:
         report = run_conformance(
-            args.scale, circuits=args.circuits, engines=engines
+            args.scale,
+            circuits=args.circuits,
+            engines=engines,
+            reorder=reorder,
         )
         print(report.render())
         failed |= not report.ok
     if not args.skip_metamorphic:
         circuits = args.circuits or DEFAULT_CIRCUITS
-        outcomes = run_metamorphic(circuits, transforms=args.transforms)
+        outcomes = run_metamorphic(
+            circuits, transforms=args.transforms, reorder=reorder
+        )
         print()
         print(render_outcomes(outcomes))
         failed |= not all(outcome.ok for outcome in outcomes)

@@ -21,6 +21,7 @@ where ``my_adapter(circuit, faults, functions)`` returns one
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -62,8 +63,11 @@ def _dp_run(
     circuit: Circuit,
     faults: Sequence[Fault],
     functions: CircuitFunctions,
+    reorder: bool = False,
 ) -> list[FaultReport]:
-    engine = DifferencePropagation(circuit, functions=functions)
+    engine = DifferencePropagation(
+        circuit, functions=functions, reorder=reorder
+    )
     return [
         report_from_analysis("dp", engine.analyze(fault), engine.functions)
         for fault in faults
@@ -311,8 +315,13 @@ def run_conformance(
     sweep: VerifySweep | str = "ci",
     circuits: Sequence[str] | None = None,
     engines: Sequence[str] | None = None,
+    reorder: bool = False,
 ) -> ConformanceReport:
-    """Sweep every registered engine and check every invariant."""
+    """Sweep every registered engine and check every invariant.
+
+    ``reorder`` turns on dynamic variable reordering in the ``dp``
+    engine, the one registered engine that has such a policy.
+    """
     if isinstance(sweep, str):
         try:
             sweep = SWEEPS[sweep]
@@ -342,8 +351,11 @@ def run_conformance(
             for engine_name, spec in selected.items():
                 if not spec.supports(circuit, faults):
                     continue
+                run = spec.run
+                if reorder and engine_name == "dp":
+                    run = functools.partial(run, reorder=True)
                 start = time.perf_counter()
-                reports = spec.run(circuit, faults, functions)
+                reports = run(circuit, faults, functions)
                 violations = check_reports(circuit, reports)
                 cells.append(
                     ConformanceCell(

@@ -107,8 +107,10 @@ def check_relation(
     circuit: Circuit,
     transform: str,
     faults: Iterable[Fault] | None = None,
+    reorder: bool = False,
 ) -> RelationOutcome:
-    """Exact per-fault detectability invariance under one transform."""
+    """Exact per-fault detectability invariance under one transform
+    (``reorder`` turns on the DP engines' dynamic reordering)."""
     try:
         rewrite = TRANSFORMS[transform]
     except KeyError:
@@ -117,8 +119,8 @@ def check_relation(
         ) from None
     start = time.perf_counter()
     transformed = rewrite(circuit)
-    original_engine = DifferencePropagation(circuit)
-    transformed_engine = DifferencePropagation(transformed)
+    original_engine = DifferencePropagation(circuit, reorder=reorder)
+    transformed_engine = DifferencePropagation(transformed, reorder=reorder)
     fault_list = (
         list(faults) if faults is not None else collapsed_checkpoint_faults(circuit)
     )
@@ -164,13 +166,16 @@ DEFAULT_CIRCUITS: tuple[str, ...] = ("c17", "fulladder", "c95")
 def run_metamorphic(
     circuits: Sequence[str] = DEFAULT_CIRCUITS,
     transforms: Sequence[str] | None = None,
+    reorder: bool = False,
 ) -> list[RelationOutcome]:
     """Every relation on every circuit; outcomes in sweep order."""
     outcomes: list[RelationOutcome] = []
     for name in circuits:
         circuit = get_circuit(name)
         for transform in transforms or TRANSFORMS:
-            outcomes.append(check_relation(circuit, transform))
+            outcomes.append(
+                check_relation(circuit, transform, reorder=reorder)
+            )
     return outcomes
 
 

@@ -494,8 +494,8 @@ def run_calibration(
             for seed in seeds:
                 settings = SampledSettings(
                     seed=seed,
-                    ci_width=scale.effective_ci_width(),
-                    pattern_budget=scale.effective_pattern_budget(),
+                    ci_width=scale.ci_width,
+                    pattern_budget=scale.pattern_budget,
                 )
                 sampler = SampledCampaignEngine(circuit, name, settings)
                 records = sampler.run(faults)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager, ReorderStats
 from repro.benchcircuits import get_circuit
-from repro.core.engine import DifferencePropagation, env_reorder
+from repro.core.engine import DifferencePropagation
 from repro.core.symbolic import CircuitFunctions
 from repro.faults.stuck_at import collapsed_checkpoint_faults
 from repro.verify import golden
@@ -236,19 +236,24 @@ class TestSift:
 # ----------------------------------------------------------------------
 class TestEngineReorder:
     def test_env_reorder_parsing(self):
+        """``$REPRO_REORDER`` is parsed by the scale resolver only."""
+        from repro.experiments.config import get_scale
+
         for raw in ("1", "true", "yes", "on", "anything"):
-            assert env_reorder({"REPRO_REORDER": raw})
+            assert get_scale("ci", {"REPRO_REORDER": raw}).reorder is True
         for raw in ("", "0", "false", "no", "off", " 0 ", "FALSE"):
-            assert not env_reorder({"REPRO_REORDER": raw})
-        assert not env_reorder({})
+            assert get_scale("ci", {"REPRO_REORDER": raw}).reorder is False
+        assert get_scale("ci", {}).reorder is False
 
     def test_constructor_overrides_environment(self, monkeypatch):
+        """The engine never reads the environment: only ``reorder=``."""
         monkeypatch.setenv("REPRO_REORDER", "1")
         c17 = get_circuit("c17")
         assert DifferencePropagation(c17, reorder=False).reorder is False
+        assert DifferencePropagation(c17).reorder is False
+        assert DifferencePropagation(c17).reorder_runs == 0
         monkeypatch.delenv("REPRO_REORDER")
         assert DifferencePropagation(c17, reorder=True).reorder is True
-        assert DifferencePropagation(c17).reorder is False
 
     def test_reorder_engine_is_bit_identical(self):
         circuit = get_circuit("c95")
@@ -288,12 +293,9 @@ class TestEngineReorder:
         ),
         ids=lambda p: p.stem,
     )
-    def test_golden_fixtures_bit_identical_under_reorder(
-        self, path, monkeypatch
-    ):
-        """REPRO_REORDER=1 must reproduce every committed fixture
-        verbatim — reordering may only change memory and runtime."""
-        monkeypatch.setenv("REPRO_REORDER", "1")
+    def test_golden_fixtures_bit_identical_under_reorder(self, path):
+        """Reordering must reproduce every committed fixture verbatim —
+        it may only change memory and runtime."""
         document = golden.load_fixture(path)
         circuit = get_circuit(document["circuit"])
         faults = [
@@ -301,7 +303,7 @@ class TestEngineReorder:
             for record in document["faults"]
         ]
         functions = CircuitFunctions(circuit)
-        reports = ENGINES["dp"].run(circuit, faults, functions)
+        reports = ENGINES["dp"].run(circuit, faults, functions, reorder=True)
         assert functions.manager.reorder_runs >= 1
         from fractions import Fraction
 
@@ -330,12 +332,18 @@ class TestCampaignReorderTelemetry:
         clear_campaign_caches()
 
     def test_campaign_records_reorder_telemetry(self):
-        from repro.experiments.campaigns import stuck_at_campaign
+        from repro.experiments.campaigns import (
+            clear_campaign_caches,
+            stuck_at_campaign,
+        )
         from repro.experiments.config import Scale
 
         baseline = stuck_at_campaign(
             "c17", Scale(name="reorder-unit-off", circuits=("c17",))
         )
+        # reordering is result-neutral, so both scales name one
+        # campaign; drop the memo to make the second one run
+        clear_campaign_caches()
         sifted = stuck_at_campaign(
             "c17",
             Scale(name="reorder-unit-on", circuits=("c17",), reorder=True),
@@ -349,13 +357,17 @@ class TestCampaignReorderTelemetry:
         assert chunk.reorder_nodes_after <= chunk.reorder_nodes_before
 
     def test_scale_effective_reorder(self, monkeypatch):
-        from repro.experiments.config import Scale
+        """A resolved scale carries the env's policy; a ``Scale`` built
+        in code ignores the environment."""
+        from repro.experiments.config import Scale, get_scale
 
         monkeypatch.delenv("REPRO_REORDER", raising=False)
         assert Scale(name="x").effective_reorder() is False
         assert Scale(name="x", reorder=True).effective_reorder() is True
+        assert get_scale("ci").effective_reorder() is False
         monkeypatch.setenv("REPRO_REORDER", "1")
-        assert Scale(name="x").effective_reorder() is True
+        assert Scale(name="x").effective_reorder() is False
+        assert get_scale("ci").effective_reorder() is True
         assert Scale(name="x", reorder=False).effective_reorder() is False
 
     def test_manifest_records_reorder(self):

@@ -20,7 +20,6 @@ from repro.benchcircuits import get_circuit  # noqa: E402
 from repro.experiments import campaigns  # noqa: E402
 from repro.experiments.config import (  # noqa: E402
     CAMPAIGN_ENGINES,
-    env_engine,
     get_scale,
 )
 from repro.faults.bridging import BridgeKind  # noqa: E402
@@ -45,29 +44,34 @@ def test_campaign_engines_roster():
 
 def test_env_engine_defaults_to_dp(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert env_engine() == "dp"
-    monkeypatch.setenv("REPRO_ENGINE", "  ")
-    assert env_engine() == "dp"
+    assert get_scale("ci").engine == "dp"
+    assert get_scale("ci", {"REPRO_ENGINE": "  "}).engine == "dp"
 
 
 def test_env_engine_reads_environment(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "bitparallel")
-    assert env_engine() == "bitparallel"
+    assert get_scale("ci").engine == "bitparallel"
+    assert get_scale("ci", {"REPRO_ENGINE": "bitparallel"}).engine == (
+        "bitparallel"
+    )
 
 
 def test_env_engine_rejects_unknown(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "quantum")
     with pytest.raises(KeyError):
-        env_engine()
+        get_scale("ci")
 
 
 def test_scale_engine_field_wins_over_environment(monkeypatch):
     import dataclasses
 
     monkeypatch.setenv("REPRO_ENGINE", "bitparallel")
-    assert SCALE.effective_engine() == "bitparallel"
-    pinned = dataclasses.replace(SCALE, engine="dp")
+    resolved = get_scale("ci")
+    assert resolved.effective_engine() == "bitparallel"
+    pinned = dataclasses.replace(resolved, engine="dp")
     assert pinned.effective_engine() == "dp"
+    # a scale resolved before the variable was set keeps its engine
+    assert SCALE.effective_engine() == "dp"
 
 
 def test_campaign_rejects_unknown_engine():
@@ -97,8 +101,8 @@ def test_campaign_cache_keys_engines_separately(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     dp = campaigns.stuck_at_campaign("c17", SCALE, engine="dp")
     bp = campaigns.stuck_at_campaign("c17", SCALE, engine="bitparallel")
-    assert ("c17", "ci", "dp") in campaigns._stuck_cache
-    assert ("c17", "ci", "bitparallel") in campaigns._stuck_cache
+    routings = {request.routing for request in campaigns._memo}
+    assert routings == {"dp", "bitparallel"}
     # cache hit returns the same object per engine
     assert campaigns.stuck_at_campaign("c17", SCALE, engine="dp") is dp
     assert (

@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import runcache
 from repro.experiments.campaigns import (
+    CampaignRequest,
     bridging_campaign,
     clear_campaign_caches,
     stuck_at_campaign,
@@ -134,32 +135,42 @@ def test_decode_garbage_body_forces_recompute(cached_scale):
 # ----------------------------------------------------------------------
 # Projection semantics
 # ----------------------------------------------------------------------
+def _run_key(scale, name="c432", **overrides) -> str:
+    request = CampaignRequest.of(name, scale, **overrides)
+    return store.run_key(request.projection())
+
+
 def test_projection_excludes_result_neutral_knobs(cached_scale):
-    base = runcache.stuck_at_projection("c432", cached_scale, "dp")
-    reworked = dataclasses.replace(cached_scale, workers=8, reorder=True)
-    assert runcache.stuck_at_projection("c432", reworked, "dp") == base
+    base = CampaignRequest.of("c432", cached_scale)
+    reworked = dataclasses.replace(
+        cached_scale, workers=8, reorder=True, cache=False, name="other"
+    )
+    assert CampaignRequest.of("c432", reworked).projection() == (
+        base.projection()
+    )
+    assert CampaignRequest.of("c432", reworked) == base
+    assert base.projection()["schema"] == "repro.run-key/2"
 
 
 def test_projection_includes_result_shaping_knobs(cached_scale):
-    base = store.run_key(
-        runcache.stuck_at_projection("c432", cached_scale, "dp")
-    )
+    base = _run_key(cached_scale)
     for variant in (
         dataclasses.replace(cached_scale, seed=99),
         dataclasses.replace(
             cached_scale, stuck_at_samples={"c432": 3}
         ),
+        dataclasses.replace(cached_scale, decompose={"c432": 500}),
+        dataclasses.replace(cached_scale, orderings={"c432": "dfs"}),
     ):
-        key = store.run_key(
-            runcache.stuck_at_projection("c432", variant, "dp")
-        )
-        assert key != base
-    assert (
-        store.run_key(
-            runcache.stuck_at_projection("c432", cached_scale, "bitparallel")
-        )
-        != base
-    )
+        assert _run_key(variant) != base
+    assert _run_key(cached_scale, engine="bitparallel") != base
+    sampled = _run_key(cached_scale, mode="sampled")
+    assert sampled != base
+    for knob in ({"ci_width": 0.01}, {"pattern_budget": 512}):
+        variant = dataclasses.replace(cached_scale, **knob)
+        assert _run_key(variant, mode="sampled") != sampled
+        # exact campaigns never read the sampled-mode knobs
+        assert _run_key(variant) == base
 
 
 def test_round_trip_equal_debug_helper(cached_scale):
@@ -183,10 +194,10 @@ def test_cache_off_touches_no_ledger(tmp_path, monkeypatch):
 
 def test_scale_cache_flag_overrides_env(monkeypatch):
     monkeypatch.delenv(store.CACHE_ENV, raising=False)
-    assert runcache.cache_enabled(
-        dataclasses.replace(get_scale("ci"), cache=True)
-    )
+    assert get_scale("ci").cache is False
+    assert dataclasses.replace(get_scale("ci"), cache=True).cache
     monkeypatch.setenv(store.CACHE_ENV, "1")
-    assert not runcache.cache_enabled(
-        dataclasses.replace(get_scale("ci"), cache=False)
-    )
+    assert get_scale("ci").cache is True
+    assert not dataclasses.replace(get_scale("ci"), cache=False).cache
+    for raw, enabled in (("off", False), ("0", False), ("/x/ledger", True)):
+        assert get_scale("ci", {store.CACHE_ENV: raw}).cache is enabled

@@ -155,15 +155,33 @@ def test_manifest_engine_resolves_through_the_scale(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     scale = get_scale("ci")
     m = obs.RunManifest.collect(scale=scale)
-    assert m.engine == scale.effective_engine()
+    assert m.engine == scale.effective_engine() == "dp"
+    assert (m.reorder, m.mode, m.ci_width) == (False, "exact", None)
+    # the scale was resolved once; a later env change cannot reach it
     monkeypatch.setenv("REPRO_ENGINE", "bitparallel")
-    assert obs.RunManifest.collect(scale=scale).engine == "bitparallel"
+    assert obs.RunManifest.collect(scale=scale).engine == "dp"
+    assert obs.RunManifest.collect(scale=get_scale("ci")).engine == (
+        "bitparallel"
+    )
+    monkeypatch.setenv("REPRO_MODE", "sampled")
+    monkeypatch.setenv("REPRO_CI_WIDTH", "0.1")
+    sampled = obs.RunManifest.collect(scale=get_scale("ci"))
+    assert (sampled.mode, sampled.ci_width) == ("sampled", 0.1)
 
 
 def test_manifest_engine_falls_back_to_env(monkeypatch):
+    """The env reaches the policy fields only through the resolver;
+    ``env`` still records the raw variable verbatim."""
+    from repro.experiments.config import get_scale
+
     monkeypatch.setenv("REPRO_ENGINE", "bitparallel")
-    assert obs.RunManifest.collect().engine == "bitparallel"
-    assert obs.RunManifest.collect().env["REPRO_ENGINE"] == "bitparallel"
+    monkeypatch.setenv("REPRO_REORDER", "1")
+    resolved = obs.RunManifest.collect(scale=get_scale())
+    assert (resolved.engine, resolved.reorder) == ("bitparallel", True)
+    bare = obs.RunManifest.collect()
+    assert bare.engine is None and bare.reorder is None
+    assert bare.env["REPRO_ENGINE"] == "bitparallel"
+    assert bare.env["REPRO_REORDER"] == "1"
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     assert obs.RunManifest.collect().engine is None
 

@@ -171,7 +171,7 @@ def test_clear_campaign_caches_drops_serial_managers():
     first = campaigns.stuck_at_campaign("c17", SCALE)
     campaigns.clear_campaign_caches()
     assert not campaigns._functions_cache
-    assert not campaigns._stuck_cache and not campaigns._bridge_cache
+    assert not campaigns._memo
     after = campaigns.circuit_functions("c17", SCALE)
     assert after is not before, "stale CircuitFunctions survived the clear"
     second = campaigns.stuck_at_campaign("c17", SCALE)

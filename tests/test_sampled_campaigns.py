@@ -26,7 +26,7 @@ pytest.importorskip("numpy")
 from repro.benchcircuits import get_circuit
 from repro.experiments import campaigns, parallel
 from repro.experiments.campaigns import (
-    _resolve_routing,
+    CampaignRequest,
     clear_campaign_caches,
     stuck_at_campaign,
 )
@@ -43,9 +43,13 @@ BENCH_DIR = Path(__file__).resolve().parent / "bench"
 MULT16 = BENCH_DIR / "mult16.bench"
 
 
+def _routing(scale, engine=None, mode=None) -> str:
+    return CampaignRequest.of("c17", scale, engine=engine, mode=mode).routing
+
+
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Campaign caches are keyed by scale *name*; isolate every test."""
+    """Isolate every test from campaigns memoized by earlier ones."""
     clear_campaign_caches()
     yield
     clear_campaign_caches()
@@ -61,7 +65,7 @@ class TestRouting:
         campaign = stuck_at_campaign("c17", scale, mode="sampled")
         assert campaign.exact is False
         assert campaign.strata
-        assert ("c17", "ci", "sampled") in campaigns._stuck_cache
+        assert [r.routing for r in campaigns._memo] == ["sampled"]
         for record in campaign.results:
             assert record.ci_low is not None
             assert record.ci_high is not None
@@ -76,26 +80,30 @@ class TestRouting:
 
     def test_env_mode(self, scale, monkeypatch):
         monkeypatch.setenv("REPRO_MODE", "sampled")
-        assert scale.effective_mode() == "sampled"
-        assert _resolve_routing(scale, None, None) == "sampled"
+        resolved = get_scale("ci")
+        assert resolved.mode == "sampled"
+        assert _routing(resolved) == "sampled"
+        assert scale.mode == "exact"  # resolved before the variable was set
+        with pytest.raises(KeyError, match="unknown \\$REPRO_MODE"):
+            get_scale("ci", {"REPRO_MODE": "approximate"})
 
     def test_sampled_supersedes_engine(self, scale):
-        assert _resolve_routing(scale, "bitparallel", "sampled") == "sampled"
-        assert _resolve_routing(scale, "dp", "sampled") == "sampled"
+        assert _routing(scale, "bitparallel", "sampled") == "sampled"
+        assert _routing(scale, "dp", "sampled") == "sampled"
 
     def test_exact_mode_routes_to_engine(self, scale):
-        assert _resolve_routing(scale, "dp", "exact") == "dp"
-        assert _resolve_routing(scale, "bitparallel", "exact") == "bitparallel"
+        assert _routing(scale, "dp", "exact") == "dp"
+        assert _routing(scale, "bitparallel", "exact") == "bitparallel"
 
     def test_unknown_mode_raises(self, scale):
         with pytest.raises(KeyError, match="unknown campaign mode"):
-            _resolve_routing(scale, None, "approximate")
+            _routing(scale, None, "approximate")
 
     def test_mode_and_engine_cache_keys_are_distinct(self, scale):
         sampled = stuck_at_campaign("c17", scale, mode="sampled")
         exact = stuck_at_campaign("c17", scale, mode="exact")
-        assert ("c17", "ci", "sampled") in campaigns._stuck_cache
-        assert ("c17", "ci", "dp") in campaigns._stuck_cache
+        routings = {request.routing for request in campaigns._memo}
+        assert routings == {"sampled", "dp"}
         assert exact.exact is True
         assert sampled.exact is False
 
@@ -291,7 +299,8 @@ class TestCLI:
     def test_writes_the_campaign_artifact(self, tmp_path, monkeypatch):
         from repro.sampling.__main__ import SCHEMA, main
 
-        monkeypatch.setenv("REPRO_MODE", "exact")  # restored after
+        # the CLI's own mode and --budget flag beat these variables
+        monkeypatch.setenv("REPRO_MODE", "exact")
         monkeypatch.setenv("REPRO_PATTERN_BUDGET", "4096")
         rc = main(
             [
