@@ -3,8 +3,7 @@
 Runs the complete collapsed checkpoint campaign on C432 twice through
 the engine: once with GC disabled (the node store grows monotonically,
 the pre-GC behaviour) and once with the campaign GC threshold. Asserts
-bit-identical detectabilities, zero rebuild fallbacks, and a bounded
-live population. The measured numbers land in the machine-readable
+bit-identical detectabilities and a bounded live population. The measured numbers land in the machine-readable
 ``results/BENCH_gc.json`` artifact (via the shared ``BENCH_EXTRA``
 seam, feeding the perf-trajectory sentinel); ``results/bench_gc.txt``
 stays as the human rendering of the same data.
@@ -21,7 +20,7 @@ from repro.core.engine import DifferencePropagation
 from repro.experiments import campaigns
 from repro.faults.stuck_at import collapsed_checkpoint_faults
 
-#: Large enough that the baseline engine never collects nor rebuilds.
+#: Large enough that the baseline engine never collects.
 NEVER = 10**9
 
 #: Measured fields published into results/BENCH_gc.json by the shared
@@ -42,9 +41,7 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
     faults = collapsed_checkpoint_faults(circuit)
 
     def run(gc_limit: int):
-        engine = DifferencePropagation(
-            circuit, gc_node_limit=gc_limit, rebuild_node_limit=NEVER
-        )
+        engine = DifferencePropagation(circuit, gc_node_limit=gc_limit)
         t0 = time.perf_counter()
         detectabilities = [engine.analyze(f).detectability for f in faults]
         return engine, detectabilities, time.perf_counter() - t0
@@ -60,10 +57,9 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
     )
     gc_stats = gc_engine.manager_stats()
 
-    # GC must be invisible in the answers and never need the fallback.
+    # GC must be invisible in the answers.
     assert gc_det == baseline_det, "GC changed a detectability"
     assert gc_engine.gc_runs > 0
-    assert gc_engine.rebuilds == 0
     assert gc_stats.reclaimed_nodes > 0
     assert gc_stats.live_nodes <= gc_engine._gc_threshold
     assert gc_stats.allocated_nodes < baseline_stats.allocated_nodes
@@ -76,7 +72,6 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
         gc_seconds=t_gc,
         gc_overhead=overhead,
         gc_sweeps=gc_engine.gc_runs,
-        rebuilds=gc_engine.rebuilds,
         peak_live_nodes=gc_engine.peak_live_nodes,
         steady_live_nodes=gc_stats.live_nodes,
         allocated_nodes=gc_stats.allocated_nodes,
@@ -90,7 +85,7 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
         f"no-gc baseline {t_baseline:8.3f} s  "
         f"(allocated {baseline_stats.allocated_nodes})",
         f"with gc        {t_gc:8.3f} s  "
-        f"({gc_engine.gc_runs} sweeps, {gc_engine.rebuilds} rebuilds)",
+        f"({gc_engine.gc_runs} sweeps)",
         f"gc overhead    {100 * overhead:+7.1f} %",
         f"peak live nodes     {gc_engine.peak_live_nodes}",
         f"steady-state live   {gc_stats.live_nodes}",

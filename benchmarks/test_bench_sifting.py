@@ -78,7 +78,6 @@ def test_sifting_is_invisible_in_results_c432(benchmark):
 
     assert sifted_det == declared_det, "sifting changed a detectability"
     assert sifted_engine.reorder_runs >= 1  # the initial post-build pass
-    assert sifted_engine.rebuilds == 0
     assert (
         sifted_engine.reorder_nodes_after
         <= sifted_engine.reorder_nodes_before
@@ -146,7 +145,6 @@ def test_sifting_peak_reduction_c1908(benchmark, repro_seed):
         f"({declared_peak} → {sifted_peak})"
     )
     assert sifted_engine.reorder_runs >= 1
-    assert sifted_engine.rebuilds == 0
 
     BENCH_EXTRA.update(
         c1908_faults=len(all_faults),

@@ -18,7 +18,7 @@ external holders (``Function`` handles, ``CircuitFunctions`` tables)
 register their roots with :meth:`BDDManager.incref` and release them
 with :meth:`BDDManager.decref`. :meth:`BDDManager.gc` mark-sweeps
 everything unreachable from the registered roots onto a free list —
-node ids of live nodes never change — rebuilds the unique table over
+node ids of live nodes never change — re-indexes the unique table over
 the survivors, and invalidates computed-table and counting-memo
 entries that touch freed slots (a freed slot may be reused for a
 different node, so stale entries would otherwise alias). GC never runs
@@ -229,11 +229,6 @@ class BDDManager:
         store's high-water footprint, not the live population; see
         :attr:`num_live_nodes`.
         """
-        return len(self._level)
-
-    @property
-    def num_allocated_nodes(self) -> int:
-        """Alias of :attr:`num_nodes` (allocated slots incl. terminals)."""
         return len(self._level)
 
     @property
@@ -797,149 +792,48 @@ class BDDManager:
         cache.data[(_OP_NOT, result)] = f
         return result
 
-    # The three workhorse binary operators are written with
-    # closure-local bindings of the node arrays and tables: Difference
-    # Propagation spends nearly all its time here, and dropping the
-    # attribute lookups from the recursion roughly halves the cost.
+    # AND, OR and XOR share one kernel, written with closure-local
+    # bindings of the node arrays and tables: Difference Propagation
+    # spends nearly all its time here, and dropping the attribute
+    # lookups from the recursion roughly halves the cost.
 
     def apply_and(self, f: int, g: int) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
-        unique, free = self._unique, self._free
-
-        def rec(f: int, g: int) -> int:
-            if f == g or g == TRUE:
-                return f
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-            if f > g:  # commutative: canonicalize the cache key
-                f, g = g, f
-            key = (_OP_AND, f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[_OP_AND] += 1
-                return result
-            misses[_OP_AND] += 1
-            lf, lg = level[f], level[g]
-            if lf <= lg:
-                top, f0, f1 = lf, low[f], high[f]
-            else:
-                top, f0, f1 = lg, f, f
-            if lg <= lf:
-                g0, g1 = low[g], high[g]
-            else:
-                g0, g1 = g, g
-            r0 = rec(f0, g0)
-            r1 = rec(f1, g1)
-            if r0 == r1:
-                result = r0
-            else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
-                if result is None:
-                    if free:
-                        result = free.pop()
-                        level[result] = top
-                        low[result] = r0
-                        high[result] = r1
-                    else:
-                        result = len(level)
-                        level.append(top)
-                        low.append(r0)
-                        high.append(r1)
-                    unique[node_key] = result
-            cache[key] = result
-            return result
-
-        result = rec(f, g)
-        cache_obj.maybe_evict()
-        return result
+        return self._apply(_OP_AND, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
-        level, low, high = self._level, self._low, self._high
-        cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
-        unique, free = self._unique, self._free
-
-        def rec(f: int, g: int) -> int:
-            if f == g or g == FALSE:
-                return f
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE:
-                return g
-            if f > g:
-                f, g = g, f
-            key = (_OP_OR, f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[_OP_OR] += 1
-                return result
-            misses[_OP_OR] += 1
-            lf, lg = level[f], level[g]
-            if lf <= lg:
-                top, f0, f1 = lf, low[f], high[f]
-            else:
-                top, f0, f1 = lg, f, f
-            if lg <= lf:
-                g0, g1 = low[g], high[g]
-            else:
-                g0, g1 = g, g
-            r0 = rec(f0, g0)
-            r1 = rec(f1, g1)
-            if r0 == r1:
-                result = r0
-            else:
-                node_key = (top, r0, r1)
-                result = unique.get(node_key)
-                if result is None:
-                    if free:
-                        result = free.pop()
-                        level[result] = top
-                        low[result] = r0
-                        high[result] = r1
-                    else:
-                        result = len(level)
-                        level.append(top)
-                        low.append(r0)
-                        high.append(r1)
-                    unique[node_key] = result
-            cache[key] = result
-            return result
-
-        result = rec(f, g)
-        cache_obj.maybe_evict()
-        return result
+        return self._apply(_OP_OR, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
+        return self._apply(_OP_XOR, f, g)
+
+    def _apply(self, op: int, f: int, g: int) -> int:
+        """The one binary recursion behind AND, OR and XOR."""
         level, low, high = self._level, self._low, self._high
         cache_obj = self._cache
-        cache, hits, misses = cache_obj.data, cache_obj.hits, cache_obj.misses
+        cache = cache_obj.data
         unique, free = self._unique, self._free
-        apply_not = self._not
+        hits, misses = cache_obj.hits, cache_obj.misses
+        is_and, is_or, is_xor = op == _OP_AND, op == _OP_OR, op == _OP_XOR
+        not_ = self._not
 
         def rec(f: int, g: int) -> int:
-            if f == g:
-                return FALSE
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return apply_not(g)
-            if g == TRUE:
-                return apply_not(f)
-            if f > g:
+            if f > g:  # all three operators commute: canonicalize the key
                 f, g = g, f
-            key = (_OP_XOR, f, g)
+            # Ordered, so only the smaller operand can be a terminal.
+            if f <= TRUE or f == g:
+                if f == g:
+                    return FALSE if is_xor else f
+                if f == FALSE:
+                    return FALSE if is_and else g
+                if is_and:
+                    return g
+                return TRUE if is_or else not_(g)
+            key = (op, f, g)
             result = cache.get(key)
             if result is not None:
-                hits[_OP_XOR] += 1
+                hits[op] += 1
                 return result
-            misses[_OP_XOR] += 1
+            misses[op] += 1
             lf, lg = level[f], level[g]
             if lf <= lg:
                 top, f0, f1 = lf, low[f], high[f]
@@ -972,6 +866,7 @@ class BDDManager:
             return result
 
         result = rec(f, g)
+        del rec  # rec's cell holds rec: empty it so no cycle outlives the call
         cache_obj.maybe_evict()
         return result
 
@@ -1268,7 +1163,7 @@ def _resource_probe() -> dict[str, int]:
     live = allocated = cache_entries = 0
     for manager in list(_MANAGERS):
         live += manager.num_live_nodes
-        allocated += manager.num_allocated_nodes
+        allocated += manager.num_nodes
         cache_entries += len(manager._cache)
     return {
         "live_nodes": live,

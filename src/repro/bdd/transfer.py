@@ -4,10 +4,10 @@ The node store of a :class:`~repro.bdd.manager.BDDManager` only grows,
 and its variable order is fixed at construction. Both limitations are
 worked around functionally:
 
-* :func:`transfer` rebuilds a node inside another manager (whose order
+* :func:`transfer` re-creates a node inside another manager (whose order
   may differ) — also the only sound way to *compare* functions that
   live in different managers;
-* :func:`reorder` rebuilds a set of root functions under a new
+* :func:`reorder` re-creates a set of root functions under a new
   variable order and reports the size change;
 * :func:`pick_best_order` tries candidate orders (declared, reversed,
   DFS-style permutations supplied by the caller) and returns whichever

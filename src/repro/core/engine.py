@@ -21,11 +21,9 @@ incremental garbage collection (:meth:`BDDManager.gc
 crosses ``gc_node_limit`` the manager mark-sweeps everything
 unreachable from the good functions and outstanding ``Function``
 handles. Because live node ids never move, every previously returned
-analysis stays valid across collections. Only if even the *live*
-population exceeds ``rebuild_node_limit`` does the engine fall back to
-the legacy whole-manager rebuild (a full good-function reconstruction
-in a fresh manager) — with GC enabled that path should never trigger
-on the paper's workloads.
+analysis stays valid across collections. GC is the only memory
+policy: after a sweep the live population is the good functions plus
+whatever the caller pinned, which no fresh manager could undercut.
 
 When dynamic reordering is enabled (``reorder=True``), the engine
 additionally sifts the variable order (:meth:`BDDManager.sift
@@ -75,7 +73,6 @@ class DifferencePropagation:
         order: Sequence[str] | None = None,
         decompose_threshold: int | None = None,
         gc_node_limit: int = DEFAULT_GC_NODE_LIMIT,
-        rebuild_node_limit: int = 4_000_000,
         reorder: bool = False,
         reorder_growth: float = DEFAULT_REORDER_GROWTH,
     ) -> None:
@@ -84,7 +81,6 @@ class DifferencePropagation:
             circuit, order=order, decompose_threshold=decompose_threshold
         )
         self.gc_node_limit = gc_node_limit
-        self.rebuild_node_limit = rebuild_node_limit
         #: current (adaptive) GC trigger; starts at ``gc_node_limit``
         #: and grows when a sweep finds the store mostly live
         self._gc_threshold = gc_node_limit
@@ -112,18 +108,15 @@ class DifferencePropagation:
                 self._sift_now()
             else:
                 self._reorder_baseline = last.nodes_after
-        #: largest node store seen across every manager this engine has
-        #: driven (GC slot reuse and rebuilds reset the store, never
-        #: this high-water mark)
+        #: largest node store seen (GC slot reuse never lowers this
+        #: high-water mark)
         self.peak_nodes = self.functions.manager.num_nodes
         #: largest in-use (live) node count seen between collections
         self.peak_live_nodes = self.functions.manager.num_live_nodes
         #: incremental GC sweeps triggered by this engine
         self.gc_runs = 0
-        #: node slots those sweeps reclaimed, summed over all managers
+        #: node slots those sweeps reclaimed
         self.reclaimed_nodes = 0
-        #: whole-manager rebuild fallbacks (should stay 0 with GC on)
-        self.rebuilds = 0
 
     # ------------------------------------------------------------------
     def analyze(self, fault: Fault) -> FaultAnalysis:
@@ -224,7 +217,7 @@ class DifferencePropagation:
         raise TypeError(f"unsupported fault type {type(fault).__name__}")
 
     def _manage_memory(self) -> None:
-        """Reclaim dead nodes between faults; rebuild only as a fallback.
+        """Reclaim dead nodes between faults.
 
         Runs before each analysis, when every difference node of the
         previous fault is unreachable (unless the caller kept its
@@ -251,13 +244,6 @@ class DifferencePropagation:
             # below it, per-fault transients dwarf any order's footprint
             # and a pass costs far more than it could ever reclaim.
             self._sift_now()
-        if m.num_live_nodes > self.rebuild_node_limit:
-            with _span("dp.rebuild", live_nodes=m.num_live_nodes):
-                self.functions = self.functions.rebuilt()
-            self.rebuilds += 1
-            self._reorder_baseline = self.functions.manager.num_live_nodes
-            if self.reorder:
-                self._sift_now()
 
     def _sift_now(self) -> None:
         """Run one sifting pass and fold its stats into the telemetry."""

@@ -109,17 +109,6 @@ class CircuitFunctions:
     def one(self) -> Function:
         return Function.true(self.manager)
 
-    def rebuilt(self) -> "CircuitFunctions":
-        """A fresh copy in a new manager (drops all accumulated nodes).
-
-        The legacy fallback behind incremental GC: the engine swaps in
-        a rebuilt instance only when even the *live* node population
-        exceeds its rebuild budget.
-        """
-        return CircuitFunctions(
-            self.circuit, self.order, self.decompose_threshold
-        )
-
 
 def _apply_gate(manager: BDDManager, gate_type: GateType, operands: list[int]) -> int:
     """Fold one gate's function over its operand nodes."""

@@ -93,7 +93,6 @@ CHUNK_COUNTER_METRICS: dict[str, str] = {
     "seconds": "campaign.seconds",
     "reclaimed_nodes": "bdd.gc.reclaimed_nodes",
     "gc_runs": "bdd.gc.runs",
-    "rebuilds": "bdd.rebuilds",
     "reorder_runs": "bdd.reorder.runs",
     "reorder_swaps": "bdd.reorder.swaps",
     "cache_hits": "bdd.cache.hits",
@@ -145,8 +144,6 @@ class ChunkStat:
     reclaimed_nodes: int = 0
     #: incremental GC sweeps the engine triggered during this chunk
     gc_runs: int = 0
-    #: whole-manager rebuild fallbacks (should stay 0 with GC enabled)
-    rebuilds: int = 0
     #: sifting passes the engine triggered during this chunk and the
     #: adjacent-level swaps they performed (zero with reordering off)
     reorder_runs: int = 0
@@ -270,10 +267,6 @@ class CampaignResult:
         """Incremental GC sweeps, summed over every chunk."""
         return int(self.metrics().counter_value("bdd.gc.runs"))
 
-    def rebuilds(self) -> int:
-        """Whole-manager rebuild fallbacks, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.rebuilds"))
-
     def reorder_runs(self) -> int:
         """Sifting passes triggered, summed over every chunk."""
         return int(self.metrics().counter_value("bdd.reorder.runs"))
@@ -301,10 +294,6 @@ class CampaignResult:
 #: tighter than the engine default because experiment processes hold
 #: several circuits at once (and every pool worker holds its own copy).
 CAMPAIGN_GC_LIMIT = 50_000
-
-#: Legacy fallback: whole-manager rebuild budget. With GC keeping live
-#: populations far smaller, campaigns should never reach this.
-CAMPAIGN_REBUILD_LIMIT = 2_500_000
 
 #: Exhaustive frontier for the bit-parallel campaign engine; beyond it
 #: the kernel runs a seeded random-pattern sample instead.
@@ -463,7 +452,7 @@ def telemetry_report() -> list[str]:
         "campaign telemetry (per cached campaign):",
         f"{'circuit':<10} {'model':<12} {'engine':<11} {'faults':>6} "
         f"{'sec':>8} {'peak':>9} {'live':>8} {'reclaimed':>9} {'gc':>4} "
-        f"{'rebuilds':>8} {'sifts':>5} {'swaps':>7} {'cache-hit%':>10}",
+        f"{'sifts':>5} {'swaps':>7} {'cache-hit%':>10}",
     ]
     for request, result in rows:
         model = (
@@ -478,7 +467,6 @@ def telemetry_report() -> list[str]:
             f"{int(metrics.gauge_value('bdd.nodes.live')):>8} "
             f"{int(metrics.counter_value('bdd.gc.reclaimed_nodes')):>9} "
             f"{int(metrics.counter_value('bdd.gc.runs')):>4} "
-            f"{int(metrics.counter_value('bdd.rebuilds')):>8} "
             f"{int(metrics.counter_value('bdd.reorder.runs')):>5} "
             f"{int(metrics.counter_value('bdd.reorder.swaps')):>7} "
             f"{100 * metrics.ratio('bdd.cache.hits', ('bdd.cache.hits', 'bdd.cache.misses')):>9.1f}%"
@@ -662,8 +650,8 @@ def analyze_faults(
     under the <3% obs gate by ``benchmarks/test_bench_obs.py``).
     """
     records: list[FaultResult] = []
+    functions = engine.functions
     for fault in faults:
-        functions = engine.functions  # engine may have rebuilt it
         analysis = engine.analyze(fault)
         stuck_eq = None
         if bridging and isinstance(fault, BridgingFault):
@@ -682,34 +670,23 @@ def analyze_faults(
 
 
 def chunk_metrics(
-    engine: DifferencePropagation,
-    before_manager,
-    before_stats,
+    engine: DifferencePropagation, before_stats
 ) -> obs.MetricsRegistry:
     """The GC/cache registry for a finished chunk — ``ChunkStat``'s source.
 
     Cache counters are recorded as the delta against ``before_stats``
     (captured at chunk start) so long-lived pool workers — whose
     managers accumulate counts across chunks — still report per-chunk
-    numbers. If the engine swapped managers mid-chunk (rebuild
-    fallback), the fresh manager's counters already are the chunk's
-    own, so they're recorded absolutely.
+    numbers.
     """
-    manager = engine.functions.manager
-    stats = manager.stats()
-    if manager is before_manager:
-        hits = stats.cache_hits - before_stats.cache_hits
-        misses = stats.cache_misses - before_stats.cache_misses
-        evictions = stats.cache_evictions - before_stats.cache_evictions
-    else:
-        hits = stats.cache_hits
-        misses = stats.cache_misses
-        evictions = stats.cache_evictions
+    stats = engine.functions.manager.stats()
+    hits = stats.cache_hits - before_stats.cache_hits
+    misses = stats.cache_misses - before_stats.cache_misses
+    evictions = stats.cache_evictions - before_stats.cache_evictions
     registry = obs.MetricsRegistry()
     registry.gauge("bdd.nodes.live").set(stats.live_nodes)
     registry.counter("bdd.gc.reclaimed_nodes").inc(engine.reclaimed_nodes)
     registry.counter("bdd.gc.runs").inc(engine.gc_runs)
-    registry.counter("bdd.rebuilds").inc(engine.rebuilds)
     registry.counter("bdd.reorder.runs").inc(engine.reorder_runs)
     registry.counter("bdd.reorder.swaps").inc(engine.reorder_swaps)
     registry.gauge("bdd.reorder.nodes_before").set(engine.reorder_nodes_before)
@@ -718,25 +695,6 @@ def chunk_metrics(
     registry.counter("bdd.cache.misses").inc(misses)
     registry.counter("bdd.cache.evictions").inc(evictions)
     return registry
-
-
-def store_engine_functions(
-    name: str, scale: Scale, engine: DifferencePropagation
-) -> CircuitFunctions:
-    """Return the engine's current functions to the shared cache.
-
-    Memory hygiene: long campaigns can grow (and rebuild) the OBDD
-    manager; keep the engine's *current* functions in the cache — never
-    a pre-rebuild giant — and drop the computed table, which dwarfs the
-    node store and is cheap to regrow. Pool workers run this too, so a
-    long-lived worker reuses one compact function table across chunks.
-    """
-    functions = engine.functions
-    functions.manager.clear_caches()
-    _functions_cache[
-        (name, scale.decompose_threshold(name), scale.ordering(name))
-    ] = functions
-    return functions
 
 
 def _bitparallel_simulator(name: str, scale: Scale):
@@ -860,11 +818,9 @@ def _dp_chunk_body(
             circuit,
             functions=functions,
             gc_node_limit=CAMPAIGN_GC_LIMIT,
-            rebuild_node_limit=CAMPAIGN_REBUILD_LIMIT,
             reorder=scale.reorder,
         )
-        before_manager = functions.manager
-        before_stats = before_manager.stats()
+        before_stats = functions.manager.stats()
         meter = obs.meter(
             len(faults),
             label=f"{name} {'bridging' if bridging else 'stuck-at'} "
@@ -872,8 +828,11 @@ def _dp_chunk_body(
         )
         records = analyze_faults(engine, faults, bridging, meter=meter)
         meter.finish()
-        registry = chunk_metrics(engine, before_manager, before_stats)
-        functions = store_engine_functions(name, scale, engine)
+        registry = chunk_metrics(engine, before_stats)
+        # The computed table dwarfs the node store and is cheap to
+        # regrow; drop it so a long-lived pool worker keeps one compact
+        # function table across chunks.
+        functions.manager.clear_caches()
         registry.counter("campaign.faults").inc(len(faults))
         registry.counter("campaign.seconds").inc(
             time.perf_counter() - start

@@ -66,7 +66,7 @@ CHUNKS_PER_WORKER = 4
 class CampaignSpec:
     """One picklable shard of a campaign: everything a worker needs.
 
-    Carries only names and plain fault descriptors — a worker rebuilds
+    Carries only names and plain fault descriptors — a worker builds
     (or cache-hits) the circuit and its good functions locally.
     """
 

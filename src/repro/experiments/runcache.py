@@ -3,7 +3,7 @@
 :mod:`repro.obs.store` stores opaque JSON documents by content hash;
 this module is the campaign-shaped layer on top of it — it reduces a
 finished :class:`~repro.experiments.campaigns.CampaignResult` to an
-exact JSON body and rebuilds an identical result from that body.
+exact JSON body and restores an identical result from that body.
 
 A campaign's run key is the hash of
 :meth:`CampaignRequest.projection

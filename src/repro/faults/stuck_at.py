@@ -1,9 +1,15 @@
 """Single stuck-at faults: checkpoint sets and equivalence collapsing.
 
 The paper targets **checkpoint faults** (Bossen & Hong): stuck-at-0/1 on
-every primary-input stem and on every fanout branch. Detecting all
-checkpoint faults detects all single stuck-at faults in the circuit, so
-they are the standard compact target set.
+every primary-input stem and on every fanout branch. In an irredundant
+circuit of unate gates, detecting all checkpoint faults detects all
+single stuck-at faults, so they are the standard compact target set.
+
+:func:`checkpoint_faults` counts only gate sinks as fanout, so a net
+that drives a primary output and one gate gets no branch checkpoint and
+the guarantee does not cover its branch: ``tests/test_stuck_at.py``
+pins a five-gate circuit where such a branch fault escapes. Counting PO
+taps would change the fault sets of c1908, c95 and alu181.
 
 The checkpoint set is then reduced with **fault equivalence** at gate
 inputs (McCluskey & Clegg): for an AND gate, s-a-0 on any input is
@@ -53,7 +59,8 @@ def all_stuck_at_faults(circuit: Circuit) -> list[StuckAtFault]:
 
 
 def checkpoint_faults(circuit: Circuit) -> list[StuckAtFault]:
-    """Both polarities on PI stems and on fanout branches (fanout ≥ 2)."""
+    """Both polarities on PI stems and on branches of nets with ≥ 2 gate
+    sinks (PO taps are not counted; see the module docstring)."""
     faults: list[StuckAtFault] = []
     for net in circuit.inputs:
         faults.append(StuckAtFault(Line(net), False))

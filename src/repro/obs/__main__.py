@@ -124,9 +124,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         paths = perf_mod.record(results_dir, history_dir)
         for path in sorted(set(paths)):
             print(f"recorded → {path}")
-        if not paths:
+        if not any(results_dir.glob("BENCH_*.json")):
             print(f"no BENCH_*.json artifacts under {results_dir}", file=sys.stderr)
             return 1
+        if not paths:
+            print("nothing new: every artifact is already recorded")
         return 0
     if args.perf_command == "report":
         print(perf_mod.report(history_dir))

@@ -10,7 +10,8 @@ provenance, git SHA, python, numpy, hostname).
 
 Three operations (all under ``python -m repro.obs perf``):
 
-* ``record`` — append one trajectory entry per fresh artifact;
+* ``record`` — append one trajectory entry per fresh artifact that the
+  trajectory does not already hold (re-recording is a no-op);
 * ``check`` — compare fresh artifacts against the recorded baseline
   and exit nonzero on regression. The baseline is **robust**: the
   median of the comparable history window, with a relative tolerance
@@ -239,11 +240,16 @@ def _fresh_entries(results_dir: Path | str) -> list[dict]:
 def record(
     results_dir: Path | str, history_dir: Path | str | None = None
 ) -> list[Path]:
-    """Append every fresh artifact to its trajectory; returns the paths."""
+    """Append every fresh artifact its trajectory does not already hold.
+
+    Returns the paths appended to, so recording the same artifacts
+    twice appends nothing the second time.
+    """
     history_dir = history_dir or default_history_dir(results_dir)
     return [
         append_entry(history_dir, entry)
         for entry in _fresh_entries(results_dir)
+        if entry not in load_trajectory(trajectory_path(history_dir, entry["bench"]))
     ]
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 from repro.bdd.manager import BDDError, BDDManager, FALSE, TRUE
@@ -56,6 +60,22 @@ class TestReduction:
         assert m.apply_or(a, TRUE) == TRUE
         assert m.apply_xor(a, FALSE) == a
         assert m.apply_xor(a, a) == FALSE
+        # Every terminal case of the one binary kernel, both orders.
+        na = m.nvar("a")
+        ops = (
+            (m.apply_and, lambda x, y: x and y),
+            (m.apply_or, lambda x, y: x or y),
+            (m.apply_xor, lambda x, y: x != y),
+        )
+        for (apply, truth), (f, g) in itertools.product(
+            ops, itertools.product((FALSE, TRUE, a, na), repeat=2)
+        ):
+            h = apply(f, g)
+            for value in (False, True):
+                env = {"a": value}
+                assert m.evaluate(h, env) == truth(
+                    m.evaluate(f, env), m.evaluate(g, env)
+                )
 
     def test_children_are_strictly_lower(self):
         m = BDDManager(["a", "b", "c"])
@@ -235,3 +255,29 @@ class TestBulkHelpers:
         f = m.apply_and(m.var("a"), m.var("b"))
         m.clear_caches()
         assert m.apply_and(m.var("a"), m.var("b")) == f
+
+
+class TestMemory:
+    def test_apply_leaves_no_reference_cycle(self):
+        """A dropped manager is freed by refcounting alone.
+
+        The binary kernel's recursive closure refers to itself; if a
+        call left that cycle behind, the node arrays and tables (and,
+        through ``_not``, the manager) would wait for the cyclic
+        collector.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            m = BDDManager(["a", "b", "c"])
+            a, b, c = m.var("a"), m.var("b"), m.var("c")
+            f = m.apply_and(a, m.apply_or(b, c))
+            g = m.apply_xor(f, c)
+            m.apply_xor(g, TRUE)
+            m.apply_not(g)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -126,24 +126,6 @@ class TestEngineMechanics:
         engine.analyze(StuckAtFault(Line("a0"), True))
         assert engine.functions is functions
 
-    def test_rebuild_on_node_budget(self, c95):
-        engine = DifferencePropagation(c95, rebuild_node_limit=1)
-        before = engine.functions
-        first = engine.analyze(StuckAtFault(Line("a0"), True))
-        engine.analyze(StuckAtFault(Line("a1"), True))
-        assert engine.functions is not before
-        # Results from before the rebuild stay usable.
-        assert first.tests.satcount() >= 0
-
-    def test_rebuild_preserves_results(self, c95):
-        loose = DifferencePropagation(c95)
-        tight = DifferencePropagation(c95, rebuild_node_limit=1)
-        for fault in all_stuck_at_faults(c95)[:20]:
-            assert (
-                loose.analyze(fault).detectability
-                == tight.analyze(fault).detectability
-            )
-
     def test_unsupported_fault_type(self, c17):
         engine = DifferencePropagation(c17)
         with pytest.raises(TypeError):

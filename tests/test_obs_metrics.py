@@ -141,7 +141,6 @@ def _stat(**overrides):
         live_nodes=800,
         reclaimed_nodes=300,
         gc_runs=2,
-        rebuilds=0,
         cache_hits=60,
         cache_misses=40,
         cache_evictions=5,
@@ -200,7 +199,6 @@ def test_campaign_aggregates_are_views_over_metrics():
     assert campaign.live_nodes() == 800
     assert campaign.reclaimed_nodes() == 600  # summed
     assert campaign.gc_runs() == 4
-    assert campaign.rebuilds() == 0
     assert campaign.cache_hit_rate() == pytest.approx(60 / 100)
 
     registry = campaign.metrics()

@@ -259,6 +259,19 @@ def test_record_then_check_passes_then_fails_on_regression(tmp_path):
     ) == 1
 
 
+def test_record_is_idempotent(tmp_path, capsys):
+    results = tmp_path / "results"
+    history = tmp_path / "history"
+    _write_artifact(results, 1.0)
+    argv = ["perf", "record", "--results", str(results), "--history", str(history)]
+    assert obs_cli.main(argv) == 0
+    assert obs_cli.main(argv) == 0
+    assert "already recorded" in capsys.readouterr().out
+    path = perf.trajectory_path(history, "kernel")
+    assert len(path.read_text().splitlines()) == 1
+    assert perf.record(results, history) == []
+
+
 def test_check_with_no_baseline_notes_instead_of_failing(tmp_path):
     results = tmp_path / "results"
     _write_artifact(results, 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 
 from repro.circuit.builder import CircuitBuilder
@@ -149,3 +150,63 @@ def test_checkpoint_theorem_on_unate_circuits(circuit):
         word = simulator.detection_word(fault)
         if word:
             assert word & test_set, f"{fault} escapes the checkpoint tests"
+
+
+def _po_tapped_fanout_circuit():
+    """Five unate gates where ``rc_right`` drives a PO and one gate.
+
+    ``checkpoint_faults`` counts only gate sinks, so ``rc_right`` (and
+    ``g0``) get no branch checkpoint even though their stems fan out to
+    two destinations.
+    """
+    b = CircuitBuilder("po_tapped_fanout")
+    i0, i1, i2, i3 = b.inputs("i0", "i1", "i2", "i3")
+    g0 = b.and_(i0, i1, name="g0")
+    g1 = b.and_(i0, i2, name="g1")
+    rc_left = b.and_(i3, g0, name="rc_left")
+    rc_right = b.nand(i3, g1, name="rc_right")
+    b.outputs(b.and_(rc_left, rc_right, name="rc_join"), g0, rc_right)
+    return b.build()
+
+
+def _checkpoint_test_set(circuit, simulator):
+    """One lowest detecting vector per checkpoint fault, as in the
+    property test above; the checkpoint faults must all be detectable."""
+    test_set = 0
+    for fault in checkpoint_faults(circuit):
+        word = simulator.detection_word(fault)
+        assert word, f"{fault} is redundant: the theorem's premise fails"
+        test_set |= word & (-word)
+    return test_set
+
+
+def test_po_tapped_fanout_counterexample_meets_the_premise():
+    """The counterexample meets the property test's premise (every
+    checkpoint fault is detectable), and its ``rc_right`` stem feeds a
+    PO plus one gate without a checkpoint."""
+    circuit = _po_tapped_fanout_circuit()
+    _checkpoint_test_set(circuit, TruthTableSimulator(circuit))
+    assert circuit.is_output("rc_right")
+    assert circuit.fanout_count("rc_right") == 1
+    assert not any(
+        f.line.net == "rc_right" for f in checkpoint_faults(circuit)
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="checkpoint_faults counts only gate sinks, so a net that "
+    "drives a PO and one gate gets no branch checkpoint and "
+    "rc_right->rc_join.1 s-a-1 escapes",
+)
+def test_checkpoint_theorem_holds_with_po_tapped_fanout():
+    circuit = _po_tapped_fanout_circuit()
+    simulator = TruthTableSimulator(circuit)
+    test_set = _checkpoint_test_set(circuit, simulator)
+    escaped = [
+        str(fault)
+        for fault in all_stuck_at_faults(circuit)
+        if simulator.detection_word(fault)
+        and not simulator.detection_word(fault) & test_set
+    ]
+    assert escaped == []

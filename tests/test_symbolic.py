@@ -63,13 +63,6 @@ class TestExactFunctions:
         assert functions.zero().is_zero
         assert functions.one().is_one
 
-    def test_rebuilt_gives_equal_functions(self, c95):
-        functions = CircuitFunctions(c95)
-        rebuilt = functions.rebuilt()
-        assert rebuilt.manager is not functions.manager
-        for net in c95.nets:
-            assert rebuilt.syndrome(net) == functions.syndrome(net)
-
 
 class TestDecomposition:
     def test_cut_points_created(self, alu181):
