@@ -47,7 +47,7 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
         return engine, detectabilities, time.perf_counter() - t0
 
     baseline_engine, baseline_det, t_baseline = run(NEVER)
-    baseline_stats = baseline_engine.manager_stats()
+    baseline_stats = baseline_engine.functions.manager.stats()
 
     def gc_run():
         return run(campaigns.CAMPAIGN_GC_LIMIT)
@@ -55,11 +55,11 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
     gc_engine, gc_det, t_gc = benchmark.pedantic(
         gc_run, rounds=3, iterations=1
     )
-    gc_stats = gc_engine.manager_stats()
+    gc_stats = gc_engine.functions.manager.stats()
 
     # GC must be invisible in the answers.
     assert gc_det == baseline_det, "GC changed a detectability"
-    assert gc_engine.gc_runs > 0
+    assert gc_stats.gc_runs > 0
     assert gc_stats.reclaimed_nodes > 0
     assert gc_stats.live_nodes <= gc_engine._gc_threshold
     assert gc_stats.allocated_nodes < baseline_stats.allocated_nodes
@@ -71,7 +71,7 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
         baseline_seconds=t_baseline,
         gc_seconds=t_gc,
         gc_overhead=overhead,
-        gc_sweeps=gc_engine.gc_runs,
+        gc_sweeps=gc_stats.gc_runs,
         peak_live_nodes=gc_engine.peak_live_nodes,
         steady_live_nodes=gc_stats.live_nodes,
         allocated_nodes=gc_stats.allocated_nodes,
@@ -85,7 +85,7 @@ def test_gc_overhead_and_footprint_c432(benchmark, results_dir):
         f"no-gc baseline {t_baseline:8.3f} s  "
         f"(allocated {baseline_stats.allocated_nodes})",
         f"with gc        {t_gc:8.3f} s  "
-        f"({gc_engine.gc_runs} sweeps)",
+        f"({gc_stats.gc_runs} sweeps)",
         f"gc overhead    {100 * overhead:+7.1f} %",
         f"peak live nodes     {gc_engine.peak_live_nodes}",
         f"steady-state live   {gc_stats.live_nodes}",

@@ -93,7 +93,7 @@ def test_disabled_tracing_overhead_c432(benchmark, results_dir):
     # Instrumentation a fully observed run performs: one span per fault
     # (dp.compute_test_set), one per GC sweep (bdd.gc), one chunk span —
     # plus one progress tick per fault in the campaign loop.
-    n_spans = len(faults) + engine.gc_runs + 1
+    n_spans = len(faults) + engine.functions.manager.gc_runs + 1
     n_ticks = len(faults)
 
     loops = max(n_spans, 10_000)

@@ -73,6 +73,9 @@ def test_parallel_speedup_c432(benchmark, scale, results_dir):
     assert result == serial
 
     speedup = t_serial / t_parallel if t_parallel else float("inf")
+    peak = "bdd.nodes.peak_allocated"
+    serial_peak = int(serial.metrics().gauge_value(peak))
+    parallel_peak = int(result.metrics().gauge_value(peak))
     cores = os.cpu_count() or 1
     BENCH_EXTRA.update(
         faults=len(faults),
@@ -82,8 +85,8 @@ def test_parallel_speedup_c432(benchmark, scale, results_dir):
         parallel_seconds=t_parallel,
         parallel_speedup=speedup,
         chunks=len(result.chunk_stats),
-        serial_peak_nodes=serial.peak_nodes(),
-        parallel_peak_nodes=result.peak_nodes(),
+        serial_peak_nodes=serial_peak,
+        parallel_peak_nodes=parallel_peak,
     )
     lines = [
         f"c432 stuck-at campaign, {len(faults)} faults, "
@@ -91,8 +94,8 @@ def test_parallel_speedup_c432(benchmark, scale, results_dir):
         f"serial   {t_serial:8.3f} s",
         f"parallel {t_parallel:8.3f} s  ({len(result.chunk_stats)} chunks)",
         f"speedup  {speedup:8.2f}x",
-        f"peak nodes: serial {serial.peak_nodes()}, "
-        f"parallel(max worker) {result.peak_nodes()}",
+        f"peak nodes: serial {serial_peak}, "
+        f"parallel(max worker) {parallel_peak}",
     ]
     rendering = "\n".join(lines)
     (results_dir / "bench_parallel.txt").write_text(rendering + "\n")

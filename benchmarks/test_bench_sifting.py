@@ -77,11 +77,10 @@ def test_sifting_is_invisible_in_results_c432(benchmark):
     )
 
     assert sifted_det == declared_det, "sifting changed a detectability"
-    assert sifted_engine.reorder_runs >= 1  # the initial post-build pass
-    assert (
-        sifted_engine.reorder_nodes_after
-        <= sifted_engine.reorder_nodes_before
-    )
+    sifted_stats = sifted_engine.functions.manager.stats()
+    last_sift = sifted_engine.functions.manager.last_reorder
+    assert sifted_stats.reorder_runs >= 1  # the initial post-build pass
+    assert last_sift.nodes_after <= last_sift.nodes_before
     # C432's declared order is already decent: sifting must not grow
     # the footprint, and the pass itself must stay cheap.
     assert sifted_engine.peak_live_nodes <= int(
@@ -94,15 +93,15 @@ def test_sifting_is_invisible_in_results_c432(benchmark):
         c432_sifted_seconds=t_sifted,
         c432_declared_peak_live_nodes=declared_engine.peak_live_nodes,
         c432_sifted_peak_live_nodes=sifted_engine.peak_live_nodes,
-        c432_reorder_runs=sifted_engine.reorder_runs,
-        c432_reorder_swaps=sifted_engine.reorder_swaps,
+        c432_reorder_runs=sifted_stats.reorder_runs,
+        c432_reorder_swaps=sifted_stats.reorder_swaps,
     )
     print(
         f"\nc432 stuck-at, {len(faults)} faults: declared "
         f"{t_declared:.2f}s peak {declared_engine.peak_live_nodes}, "
         f"sifted {t_sifted:.2f}s peak {sifted_engine.peak_live_nodes} "
-        f"({sifted_engine.reorder_runs} passes, "
-        f"{sifted_engine.reorder_swaps} swaps)"
+        f"({sifted_stats.reorder_runs} passes, "
+        f"{sifted_stats.reorder_swaps} swaps)"
     )
 
 
@@ -144,7 +143,9 @@ def test_sifting_peak_reduction_c1908(benchmark, repro_seed):
         f"sifting cut peak live nodes by only {100 * reduction:.1f}% "
         f"({declared_peak} → {sifted_peak})"
     )
-    assert sifted_engine.reorder_runs >= 1
+    sifted_stats = sifted_engine.functions.manager.stats()
+    last_sift = sifted_engine.functions.manager.last_reorder
+    assert sifted_stats.reorder_runs >= 1
 
     BENCH_EXTRA.update(
         c1908_faults=len(all_faults),
@@ -154,10 +155,10 @@ def test_sifting_peak_reduction_c1908(benchmark, repro_seed):
         c1908_declared_peak_live_nodes=declared_peak,
         c1908_sifted_peak_live_nodes=sifted_peak,
         c1908_peak_reduction=reduction,
-        c1908_reorder_runs=sifted_engine.reorder_runs,
-        c1908_reorder_swaps=sifted_engine.reorder_swaps,
-        c1908_reorder_nodes_before=sifted_engine.reorder_nodes_before,
-        c1908_reorder_nodes_after=sifted_engine.reorder_nodes_after,
+        c1908_reorder_runs=sifted_stats.reorder_runs,
+        c1908_reorder_swaps=sifted_stats.reorder_swaps,
+        c1908_reorder_nodes_before=last_sift.nodes_before,
+        c1908_reorder_nodes_after=last_sift.nodes_after,
     )
     print(
         f"\nc1908 stuck-at: declared sample ({len(sample)} faults) "

@@ -34,13 +34,17 @@ again at the between-fault GC boundary whenever the post-sweep live
 count has grown past ``reorder_growth`` × the post-sift baseline.
 Sifting shares GC's root contract and id stability, so it slots into
 exactly the same safe point.
+
+The manager counts every sweep and sifting pass it runs (read them
+from :meth:`BDDManager.stats <repro.bdd.manager.BDDManager.stats>` and
+:attr:`~repro.bdd.manager.BDDManager.last_reorder`); the engine only
+tracks the node peaks between faults, which the manager does not.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.bdd.cache import ManagerStats
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE
 from repro.circuit.netlist import Circuit
@@ -86,12 +90,6 @@ class DifferencePropagation:
         self._gc_threshold = gc_node_limit
         self.reorder = reorder
         self.reorder_growth = reorder_growth
-        #: sifting passes this engine triggered / swaps they performed
-        self.reorder_runs = 0
-        self.reorder_swaps = 0
-        #: live nodes just before / after the most recent sifting pass
-        self.reorder_nodes_before = 0
-        self.reorder_nodes_after = 0
         #: post-sift live-node baseline the growth trigger compares to
         self._reorder_baseline = self.functions.manager.num_live_nodes
         if self.reorder:
@@ -113,10 +111,6 @@ class DifferencePropagation:
         self.peak_nodes = self.functions.manager.num_nodes
         #: largest in-use (live) node count seen between collections
         self.peak_live_nodes = self.functions.manager.num_live_nodes
-        #: incremental GC sweeps triggered by this engine
-        self.gc_runs = 0
-        #: node slots those sweeps reclaimed
-        self.reclaimed_nodes = 0
 
     # ------------------------------------------------------------------
     def analyze(self, fault: Fault) -> FaultAnalysis:
@@ -175,10 +169,6 @@ class DifferencePropagation:
         for fault in faults:
             yield self.analyze(fault)
 
-    def manager_stats(self) -> ManagerStats:
-        """Telemetry snapshot of the engine's current manager."""
-        return self.functions.manager.stats()
-
     # ------------------------------------------------------------------
     def _initialize(
         self, fault: Fault
@@ -229,8 +219,7 @@ class DifferencePropagation:
         """
         m = self.functions.manager
         if m.num_live_nodes > self._gc_threshold:
-            self.reclaimed_nodes += m.gc()
-            self.gc_runs += 1
+            m.gc()
             live = m.num_live_nodes
             if live > self._gc_threshold // 2:
                 self._gc_threshold = max(self.gc_node_limit, 2 * live)
@@ -246,12 +235,8 @@ class DifferencePropagation:
             self._sift_now()
 
     def _sift_now(self) -> None:
-        """Run one sifting pass and fold its stats into the telemetry."""
+        """Run one sifting pass and re-anchor the growth and GC triggers."""
         stats = self.functions.manager.sift()
-        self.reorder_runs += 1
-        self.reorder_swaps += stats.swaps
-        self.reorder_nodes_before = stats.nodes_before
-        self.reorder_nodes_after = stats.nodes_after
         self._reorder_baseline = stats.nodes_after
         # A large reduction leaves the adaptive GC trigger stranded far
         # above the new working set; pull it back so sweeps resume at

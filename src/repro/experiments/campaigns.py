@@ -85,36 +85,6 @@ class FaultResult:
         return self.ci_high - self.ci_low
 
 
-#: ChunkStat field ↔ registry metric name, for the counter-like fields
-#: that merge by summing across chunks. The ``sim.*`` names report the
-#: bit-parallel kernel's work (zero on OBDD chunks, and vice versa).
-CHUNK_COUNTER_METRICS: dict[str, str] = {
-    "num_faults": "campaign.faults",
-    "seconds": "campaign.seconds",
-    "reclaimed_nodes": "bdd.gc.reclaimed_nodes",
-    "gc_runs": "bdd.gc.runs",
-    "reorder_runs": "bdd.reorder.runs",
-    "reorder_swaps": "bdd.reorder.swaps",
-    "cache_hits": "bdd.cache.hits",
-    "cache_misses": "bdd.cache.misses",
-    "cache_evictions": "bdd.cache.evictions",
-    "words_simulated": "sim.words_simulated",
-    "batches": "sim.batches",
-    "patterns_spent": "sampling.patterns_spent",
-    "sampling_rounds": "sampling.rounds",
-}
-
-#: ChunkStat field ↔ registry metric name for the peak/footprint gauges
-#: (merge by max across chunks).
-CHUNK_GAUGE_METRICS: dict[str, str] = {
-    "peak_nodes": "bdd.nodes.peak",
-    "live_nodes": "bdd.nodes.live",
-    "reorder_nodes_before": "bdd.reorder.nodes_before",
-    "reorder_nodes_after": "bdd.reorder.nodes_after",
-    "batch_size": "sim.batch_size",
-}
-
-
 @dataclass(frozen=True)
 class ChunkStat:
     """Execution telemetry for one shard of a campaign.
@@ -124,31 +94,35 @@ class ChunkStat:
     result equality — two runs of the same campaign compare equal on
     ``results`` regardless of how they were scheduled.
 
-    The numeric fields are a *view* over the chunk's
-    :class:`~repro.obs.metrics.MetricsRegistry` (see
-    :meth:`from_metrics` / :meth:`to_metrics`); the registry is what
-    travels, merges and aggregates, this dataclass is the stable public
-    shape. Cache counters are the *delta* accrued while the chunk ran
-    (a long-lived pool worker's manager counts cumulatively across
-    chunks), node counts are the end-of-chunk snapshot.
+    The numeric fields are the chunk's telemetry; :meth:`to_metrics`
+    is the one place that names each of them as a metric of the
+    mergeable :class:`~repro.obs.metrics.MetricsRegistry`. GC, sifting
+    and cache counters are the *delta* of the manager's own counters
+    (:class:`~repro.bdd.cache.ManagerStats`) while the chunk ran — a
+    long-lived pool worker's manager counts cumulatively across chunks
+    — and ``live_nodes`` is the end-of-chunk snapshot.
     """
 
     index: int
     num_faults: int
     seconds: float
+    #: allocated node-store high-water mark (sift transients included)
     peak_nodes: int
     worker_pid: int
+    #: largest in-use node count the engine saw between faults
+    peak_live_nodes: int = 0
     #: in-use node count of the chunk's manager when the chunk finished
     live_nodes: int = 0
     #: node slots reclaimed by GC sweeps during this chunk
     reclaimed_nodes: int = 0
-    #: incremental GC sweeps the engine triggered during this chunk
+    #: GC sweeps during this chunk, the sweep opening each sift included
     gc_runs: int = 0
-    #: sifting passes the engine triggered during this chunk and the
-    #: adjacent-level swaps they performed (zero with reordering off)
+    #: sifting passes during this chunk and the adjacent-level swaps
+    #: they performed (zero with reordering off)
     reorder_runs: int = 0
     reorder_swaps: int = 0
-    #: live nodes just before / after the chunk's most recent sift
+    #: live nodes just before / after the chunk's last sift (zero when
+    #: the chunk did not sift)
     reorder_nodes_before: int = 0
     reorder_nodes_after: int = 0
     #: computed-table hits/misses/evictions accrued during this chunk
@@ -174,29 +148,39 @@ class ChunkStat:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
-    @classmethod
-    def from_metrics(
-        cls,
-        registry: obs.MetricsRegistry,
-        index: int,
-        worker_pid: int,
-    ) -> "ChunkStat":
-        """Project one chunk's registry onto the public stat shape."""
-        fields: dict[str, int | float] = {}
-        for name, metric in CHUNK_COUNTER_METRICS.items():
-            value = registry.counter_value(metric)
-            fields[name] = value if name == "seconds" else int(value)
-        for name, metric in CHUNK_GAUGE_METRICS.items():
-            fields[name] = int(registry.gauge_value(metric))
-        return cls(index=index, worker_pid=worker_pid, **fields)
-
     def to_metrics(self) -> obs.MetricsRegistry:
-        """The chunk's metrics as a mergeable registry."""
+        """The chunk's metrics as a mergeable registry.
+
+        Counters merge by summing across chunks, gauges (peaks and
+        footprints) by max. The ``sim.*`` names report the bit-parallel
+        kernel's work (zero on OBDD chunks, and vice versa).
+        """
         registry = obs.MetricsRegistry()
-        for name, metric in CHUNK_COUNTER_METRICS.items():
-            registry.counter(metric).inc(getattr(self, name))
-        for name, metric in CHUNK_GAUGE_METRICS.items():
-            registry.gauge(metric).set(getattr(self, name))
+        for metric, value in (
+            ("campaign.faults", self.num_faults),
+            ("campaign.seconds", self.seconds),
+            ("bdd.gc.reclaimed_nodes", self.reclaimed_nodes),
+            ("bdd.gc.runs", self.gc_runs),
+            ("bdd.reorder.runs", self.reorder_runs),
+            ("bdd.reorder.swaps", self.reorder_swaps),
+            ("bdd.cache.hits", self.cache_hits),
+            ("bdd.cache.misses", self.cache_misses),
+            ("bdd.cache.evictions", self.cache_evictions),
+            ("sim.words_simulated", self.words_simulated),
+            ("sim.batches", self.batches),
+            ("sampling.patterns_spent", self.patterns_spent),
+            ("sampling.rounds", self.sampling_rounds),
+        ):
+            registry.counter(metric).inc(value)
+        for metric, value in (
+            ("bdd.nodes.peak_allocated", self.peak_nodes),
+            ("bdd.nodes.peak_live", self.peak_live_nodes),
+            ("bdd.nodes.live", self.live_nodes),
+            ("bdd.reorder.nodes_before", self.reorder_nodes_before),
+            ("bdd.reorder.nodes_after", self.reorder_nodes_after),
+            ("sim.batch_size", self.batch_size),
+        ):
+            registry.gauge(metric).set(value)
         registry.histogram("campaign.chunk_seconds").observe(self.seconds)
         for width in self.ci_widths:
             registry.histogram("sampling.ci_width").observe(width)
@@ -237,8 +221,8 @@ class CampaignResult:
     def metrics(self) -> obs.MetricsRegistry:
         """Aggregate registry: chunk metrics merged in shard order, plus
         the result-derived counters (``campaign.results``,
-        ``campaign.detectable``). Every legacy aggregate below is a
-        thin view over this."""
+        ``campaign.detectable``). Callers read aggregates from it by
+        metric name."""
         registry = obs.MetricsRegistry.merged(
             stat.to_metrics().snapshot() for stat in self.chunk_stats
         )
@@ -250,36 +234,6 @@ class CampaignResult:
     def total_seconds(self) -> float:
         """Summed per-chunk wall-clock (CPU-seconds of fault analysis)."""
         return self.metrics().counter_value("campaign.seconds")
-
-    def peak_nodes(self) -> int:
-        """Largest OBDD node store any chunk's engine reached."""
-        return int(self.metrics().gauge_value("bdd.nodes.peak"))
-
-    def live_nodes(self) -> int:
-        """Largest end-of-chunk in-use node count across chunks."""
-        return int(self.metrics().gauge_value("bdd.nodes.live"))
-
-    def reclaimed_nodes(self) -> int:
-        """Node slots reclaimed by GC, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.gc.reclaimed_nodes"))
-
-    def gc_runs(self) -> int:
-        """Incremental GC sweeps, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.gc.runs"))
-
-    def reorder_runs(self) -> int:
-        """Sifting passes triggered, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.reorder.runs"))
-
-    def reorder_swaps(self) -> int:
-        """Adjacent-level swaps performed, summed over every chunk."""
-        return int(self.metrics().counter_value("bdd.reorder.swaps"))
-
-    def cache_hit_rate(self) -> float:
-        """Aggregate computed-table hit rate across every chunk."""
-        return self.metrics().ratio(
-            "bdd.cache.hits", ("bdd.cache.hits", "bdd.cache.misses")
-        )
 
     def patterns_spent(self) -> int:
         """Total sampled patterns spent, summed over faults and chunks."""
@@ -438,9 +392,10 @@ def telemetry_report() -> list[str]:
 
     Backs the CLI's ``--stats`` surface: every campaign the current
     process has run (serial or fanned out over workers) reports its
-    fault count, wall-clock, node-store footprint, GC activity and
-    computed-table hit rate. Each row is a rendering of the campaign's
-    merged :meth:`CampaignResult.metrics` registry.
+    fault count, wall-clock, allocated and live node peaks, end-of-chunk
+    live nodes, GC and sifting activity and computed-table hit rate.
+    Each row is a rendering of the campaign's merged
+    :meth:`CampaignResult.metrics` registry.
     """
     rows = sorted(
         _memo.items(),
@@ -451,7 +406,8 @@ def telemetry_report() -> list[str]:
     lines = [
         "campaign telemetry (per cached campaign):",
         f"{'circuit':<10} {'model':<12} {'engine':<11} {'faults':>6} "
-        f"{'sec':>8} {'peak':>9} {'live':>8} {'reclaimed':>9} {'gc':>4} "
+        f"{'sec':>8} {'peak-alloc':>10} {'peak-live':>9} {'live':>8} "
+        f"{'reclaimed':>9} {'gc':>4} "
         f"{'sifts':>5} {'swaps':>7} {'cache-hit%':>10}",
     ]
     for request, result in rows:
@@ -463,7 +419,8 @@ def telemetry_report() -> list[str]:
             f"{request.circuit:<10} {model:<12} {request.routing:<11} "
             f"{int(metrics.counter_value('campaign.results')):>6} "
             f"{metrics.counter_value('campaign.seconds'):>8.2f} "
-            f"{int(metrics.gauge_value('bdd.nodes.peak')):>9} "
+            f"{int(metrics.gauge_value('bdd.nodes.peak_allocated')):>10} "
+            f"{int(metrics.gauge_value('bdd.nodes.peak_live')):>9} "
             f"{int(metrics.gauge_value('bdd.nodes.live')):>8} "
             f"{int(metrics.counter_value('bdd.gc.reclaimed_nodes')):>9} "
             f"{int(metrics.counter_value('bdd.gc.runs')):>4} "
@@ -669,34 +626,6 @@ def analyze_faults(
     return tuple(records)
 
 
-def chunk_metrics(
-    engine: DifferencePropagation, before_stats
-) -> obs.MetricsRegistry:
-    """The GC/cache registry for a finished chunk — ``ChunkStat``'s source.
-
-    Cache counters are recorded as the delta against ``before_stats``
-    (captured at chunk start) so long-lived pool workers — whose
-    managers accumulate counts across chunks — still report per-chunk
-    numbers.
-    """
-    stats = engine.functions.manager.stats()
-    hits = stats.cache_hits - before_stats.cache_hits
-    misses = stats.cache_misses - before_stats.cache_misses
-    evictions = stats.cache_evictions - before_stats.cache_evictions
-    registry = obs.MetricsRegistry()
-    registry.gauge("bdd.nodes.live").set(stats.live_nodes)
-    registry.counter("bdd.gc.reclaimed_nodes").inc(engine.reclaimed_nodes)
-    registry.counter("bdd.gc.runs").inc(engine.gc_runs)
-    registry.counter("bdd.reorder.runs").inc(engine.reorder_runs)
-    registry.counter("bdd.reorder.swaps").inc(engine.reorder_swaps)
-    registry.gauge("bdd.reorder.nodes_before").set(engine.reorder_nodes_before)
-    registry.gauge("bdd.reorder.nodes_after").set(engine.reorder_nodes_after)
-    registry.counter("bdd.cache.hits").inc(hits)
-    registry.counter("bdd.cache.misses").inc(misses)
-    registry.counter("bdd.cache.evictions").inc(evictions)
-    return registry
-
-
 def _bitparallel_simulator(name: str, scale: Scale):
     """Shared kernel instance per (circuit, seed): exhaustive inside
     the frontier, a seeded random-pattern sample beyond it."""
@@ -762,20 +691,15 @@ def _bitparallel_chunk_body(
             for fault, outcome in zip(faults, outcomes)
         )
         exact = circuit.num_inputs <= BITPARALLEL_EXHAUSTIVE_LIMIT
-        registry = obs.MetricsRegistry()
-        registry.counter("campaign.faults").inc(len(faults))
-        registry.counter("campaign.seconds").inc(
-            time.perf_counter() - start
-        )
-        registry.counter("sim.words_simulated").inc(
-            sim.words_simulated - words_before
-        )
-        registry.counter("sim.batches").inc(
-            sim.batches_run - batches_before
-        )
-        registry.gauge("sim.batch_size").set(sim.batch_size)
-        stat = ChunkStat.from_metrics(
-            registry, index=index, worker_pid=os.getpid()
+        stat = ChunkStat(
+            index=index,
+            num_faults=len(faults),
+            seconds=time.perf_counter() - start,
+            peak_nodes=0,
+            worker_pid=os.getpid(),
+            words_simulated=sim.words_simulated - words_before,
+            batches=sim.batches_run - batches_before,
+            batch_size=sim.batch_size,
         )
         # One batch sweep = one heartbeat: the kernel has no per-fault
         # loop to tick, so the chunk reports as a single completion.
@@ -814,13 +738,15 @@ def _dp_chunk_body(
     ):
         start = time.perf_counter()
         functions = circuit_functions(name, scale)
+        manager = functions.manager
+        # Snapshot before the engine: its initial sift is chunk work.
+        before = manager.stats()
         engine = DifferencePropagation(
             circuit,
             functions=functions,
             gc_node_limit=CAMPAIGN_GC_LIMIT,
             reorder=scale.reorder,
         )
-        before_stats = functions.manager.stats()
         meter = obs.meter(
             len(faults),
             label=f"{name} {'bridging' if bridging else 'stuck-at'} "
@@ -828,18 +754,30 @@ def _dp_chunk_body(
         )
         records = analyze_faults(engine, faults, bridging, meter=meter)
         meter.finish()
-        registry = chunk_metrics(engine, before_stats)
+        after = manager.stats()
+        sifted = after.reorder_runs > before.reorder_runs
+        last_sift = manager.last_reorder
         # The computed table dwarfs the node store and is cheap to
         # regrow; drop it so a long-lived pool worker keeps one compact
         # function table across chunks.
-        functions.manager.clear_caches()
-        registry.counter("campaign.faults").inc(len(faults))
-        registry.counter("campaign.seconds").inc(
-            time.perf_counter() - start
-        )
-        registry.gauge("bdd.nodes.peak").set(engine.peak_nodes)
-        stat = ChunkStat.from_metrics(
-            registry, index=index, worker_pid=os.getpid()
+        manager.clear_caches()
+        stat = ChunkStat(
+            index=index,
+            num_faults=len(faults),
+            seconds=time.perf_counter() - start,
+            peak_nodes=engine.peak_nodes,
+            worker_pid=os.getpid(),
+            peak_live_nodes=engine.peak_live_nodes,
+            live_nodes=after.live_nodes,
+            reclaimed_nodes=after.reclaimed_nodes - before.reclaimed_nodes,
+            gc_runs=after.gc_runs - before.gc_runs,
+            reorder_runs=after.reorder_runs - before.reorder_runs,
+            reorder_swaps=after.reorder_swaps - before.reorder_swaps,
+            reorder_nodes_before=last_sift.nodes_before if sifted else 0,
+            reorder_nodes_after=last_sift.nodes_after if sifted else 0,
+            cache_hits=after.cache_hits - before.cache_hits,
+            cache_misses=after.cache_misses - before.cache_misses,
+            cache_evictions=after.cache_evictions - before.cache_evictions,
         )
     return records, functions.is_exact, stat
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.obs.store import env_cache_enabled
+from repro.obs.trace import FALSEY
 
 #: Engines the campaign layer can route to.
 CAMPAIGN_ENGINES = ("dp", "bitparallel")
@@ -153,11 +154,8 @@ def _workers(variable: str, raw: str) -> int:
         return 1
 
 
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
-
-
 def _switch(variable: str, raw: str) -> bool:
-    return raw.lower() not in _FALSEY
+    return raw.lower() not in FALSEY
 
 
 #: campaign variable -> (the ``Scale`` field it sets, its parser)

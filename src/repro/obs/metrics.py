@@ -1,11 +1,12 @@
 """Metrics registry: named counters, gauges, and histograms.
 
-This is the single home for the numeric telemetry that used to be
-smeared across ad-hoc dataclass fields: campaign chunks record into a
-:class:`MetricsRegistry`, and the legacy surfaces —
-:class:`~repro.experiments.campaigns.ChunkStat`,
-:class:`~repro.bdd.cache.ManagerStats` conversions, and
-``telemetry_report()`` — are thin views over registry snapshots.
+This is the single vocabulary for numeric telemetry. The BDD manager
+counts its own work (:class:`~repro.bdd.cache.ManagerStats`), each
+campaign chunk carries its share as a
+:class:`~repro.experiments.campaigns.ChunkStat`, and
+``ChunkStat.to_metrics()`` names every field once as a metric of a
+:class:`MetricsRegistry`. Campaign aggregates, ``telemetry_report()``
+and the exporters read the merged registry by metric name.
 
 Three instrument kinds, chosen for their *merge* semantics (the whole
 point of the registry is deterministic aggregation of per-chunk
@@ -14,7 +15,7 @@ payloads shipped home from pool workers):
 * **counter** — monotone total; merges by summing. Cache hits, GC
   sweeps, faults analyzed, CPU seconds.
 * **gauge** — level snapshot; merges by ``max`` (every gauge in this
-  codebase is a peak/footprint: peak nodes, live nodes) or ``last``.
+  codebase is a peak/footprint: node peaks, live nodes) or ``last``.
 * **histogram** — summary of an observed distribution (count / sum /
   min / max plus p50/p95/p99 from a bounded sample store); merges by
   combining the summaries. Per-chunk wall seconds, per-fault costs.

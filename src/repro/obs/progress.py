@@ -36,10 +36,11 @@ import time
 from typing import Mapping
 
 from repro.obs.logging import get_logger
+from repro.obs.trace import FALSEY
 
-#: Environment switch: any value other than these enables heartbeats.
+#: Environment switch: any value other than :data:`FALSEY` enables
+#: heartbeats.
 PROGRESS_ENV = "REPRO_PROGRESS"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
 
 #: Default seconds between throttled heartbeats from per-fault ticks.
 DEFAULT_INTERVAL = 1.0
@@ -49,7 +50,7 @@ log = get_logger("repro.progress")
 
 def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
     """True when ``$REPRO_PROGRESS`` asks for heartbeats."""
-    return environ.get(PROGRESS_ENV, "").strip().lower() not in _FALSEY
+    return environ.get(PROGRESS_ENV, "").strip().lower() not in FALSEY
 
 
 class _NullMeter:

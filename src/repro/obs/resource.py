@@ -36,8 +36,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.obs.trace import FALSEY
+
 RESOURCE_ENV = "REPRO_RESOURCE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
 
 #: Default seconds between samples. 20 Hz is fine-grained enough to see
 #: GC sawtooths on second-scale campaigns and far too slow to perturb
@@ -263,7 +264,7 @@ class ResourceSampler:
 # ----------------------------------------------------------------------
 def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
     """True when ``$REPRO_RESOURCE`` asks for sampling."""
-    return environ.get(RESOURCE_ENV, "").strip().lower() not in _FALSEY
+    return environ.get(RESOURCE_ENV, "").strip().lower() not in FALSEY
 
 
 def env_interval(environ: Mapping[str, str] = os.environ) -> float:

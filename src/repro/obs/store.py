@@ -46,6 +46,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.obs.encode import json_safe
 from repro.obs.logging import get_logger
+from repro.obs.trace import FALSEY
 
 OBJECT_SCHEMA = "repro.ledger-object/1"
 INDEX_SCHEMA = "repro.ledger-index/1"
@@ -336,13 +337,12 @@ class RunLedger:
 # Environment switch: $REPRO_CACHE
 # ----------------------------------------------------------------------
 CACHE_ENV = "REPRO_CACHE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
 _TRUTHY = frozenset(("1", "true", "yes", "on"))
 
 
 def env_cache_enabled(environ: Mapping[str, str] = os.environ) -> bool:
     """True when ``$REPRO_CACHE`` asks campaigns to consult the ledger."""
-    return environ.get(CACHE_ENV, "").strip().lower() not in _FALSEY
+    return environ.get(CACHE_ENV, "").strip().lower() not in FALSEY
 
 
 def env_ledger_dir(environ: Mapping[str, str] = os.environ) -> Path:
@@ -353,7 +353,7 @@ def env_ledger_dir(environ: Mapping[str, str] = os.environ) -> Path:
     explicit ledger directory path.
     """
     raw = environ.get(CACHE_ENV, "").strip()
-    if raw.lower() in _TRUTHY or raw.lower() in _FALSEY:
+    if raw.lower() in _TRUTHY or raw.lower() in FALSEY:
         return DEFAULT_LEDGER_DIR
     return Path(raw)
 

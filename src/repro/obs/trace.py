@@ -41,14 +41,16 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.encode import json_safe
 
-#: Environment switch: any value other than these enables tracing.
+#: Environment switch: any value other than :data:`FALSEY` enables tracing.
 TRACE_ENV = "REPRO_TRACE"
-_FALSEY = frozenset(("", "0", "false", "no", "off"))
+#: Switch values that mean "off" (after strip and lower-casing); every
+#: ``REPRO_*`` on/off switch parses against this one set.
+FALSEY = frozenset(("", "0", "false", "no", "off"))
 
 
 def env_enabled(environ: Mapping[str, str] = os.environ) -> bool:
     """True when ``$REPRO_TRACE`` asks for tracing."""
-    return environ.get(TRACE_ENV, "").strip().lower() not in _FALSEY
+    return environ.get(TRACE_ENV, "").strip().lower() not in FALSEY
 
 
 class _NoopSpan:

@@ -26,7 +26,6 @@ layer's exact-only oracles must skip it.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from dataclasses import dataclass
@@ -223,8 +222,7 @@ def sampled_chunk_body(
 
     Returns ``(records, exact=False, ChunkStat)`` — the same contract
     as the exact chunk bodies, with the sampling telemetry (patterns
-    spent, rounds, per-fault CI widths) riding the chunk's metrics
-    registry.
+    spent, rounds, per-fault CI widths) carried on the stat.
     """
     from repro.experiments.campaigns import ChunkStat
 
@@ -245,21 +243,17 @@ def sampled_chunk_body(
         )
         records = engine.run(faults, meter=meter)
         meter.finish()
-        registry = obs.MetricsRegistry()
-        registry.counter("campaign.faults").inc(len(faults))
-        registry.counter("campaign.seconds").inc(time.perf_counter() - start)
-        registry.counter("sim.words_simulated").inc(engine.words_simulated)
-        registry.counter("sim.batches").inc(engine.batches_run)
-        registry.gauge("sim.batch_size").set(engine.batch_size)
-        registry.counter("sampling.patterns_spent").inc(
-            sum(r.patterns_spent for r in records)
-        )
-        registry.counter("sampling.rounds").inc(engine.rounds_run)
-        stat = ChunkStat.from_metrics(
-            registry, index=index, worker_pid=os.getpid()
-        )
-        stat = dataclasses.replace(
-            stat,
+        stat = ChunkStat(
+            index=index,
+            num_faults=len(faults),
+            seconds=time.perf_counter() - start,
+            peak_nodes=0,
+            worker_pid=os.getpid(),
+            words_simulated=engine.words_simulated,
+            batches=engine.batches_run,
+            batch_size=engine.batch_size,
+            patterns_spent=sum(r.patterns_spent for r in records),
+            sampling_rounds=engine.rounds_run,
             ci_widths=tuple(r.ci_high - r.ci_low for r in records),
         )
     return records, False, stat

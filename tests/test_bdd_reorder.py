@@ -10,8 +10,8 @@ The hazards these tests pin down:
 * sifting must actually shrink order-sensitive shapes (the classic
   pairing function) and must stop at the ``max_growth`` guard;
 * reorder telemetry must flow end to end: ``ReorderStats`` →
-  ``ManagerStats`` → engine counters → ``ChunkStat`` /
-  ``CampaignResult``;
+  ``ManagerStats`` → per-chunk deltas on ``ChunkStat`` →
+  ``CampaignResult.metrics()``;
 * with ``REPRO_REORDER=1`` every golden fixture stays bit-identical —
   reordering may only ever change memory and runtime.
 """
@@ -251,7 +251,7 @@ class TestEngineReorder:
         c17 = get_circuit("c17")
         assert DifferencePropagation(c17, reorder=False).reorder is False
         assert DifferencePropagation(c17).reorder is False
-        assert DifferencePropagation(c17).reorder_runs == 0
+        assert DifferencePropagation(c17).functions.manager.reorder_runs == 0
         monkeypatch.delenv("REPRO_REORDER")
         assert DifferencePropagation(c17, reorder=True).reorder is True
 
@@ -260,8 +260,10 @@ class TestEngineReorder:
         faults = collapsed_checkpoint_faults(circuit)
         plain = DifferencePropagation(circuit)
         sifted = DifferencePropagation(circuit, reorder=True)
-        assert sifted.reorder_runs >= 1  # the initial post-build pass
-        assert sifted.reorder_nodes_after <= sifted.reorder_nodes_before
+        manager = sifted.functions.manager
+        assert manager.reorder_runs >= 1  # the initial post-build pass
+        last = manager.last_reorder
+        assert last.nodes_after <= last.nodes_before
         for fault in faults:
             assert (
                 plain.analyze(fault).detectability
@@ -276,11 +278,10 @@ class TestEngineReorder:
             get_circuit("c17"), functions=functions, reorder=True
         )
         assert functions.manager.reorder_runs == 1
-        second = DifferencePropagation(
+        DifferencePropagation(
             get_circuit("c17"), functions=functions, reorder=True
         )
-        assert functions.manager.reorder_runs == 1
-        assert second.reorder_runs == 0
+        assert functions.manager.reorder_runs == 1  # no second pass
 
     @pytest.mark.parametrize(
         "path",
@@ -349,12 +350,48 @@ class TestCampaignReorderTelemetry:
             Scale(name="reorder-unit-on", circuits=("c17",), reorder=True),
         )
         assert sifted.detectabilities() == baseline.detectabilities()
-        assert sifted.reorder_runs() >= 1
-        assert baseline.reorder_runs() == 0
+        runs = "bdd.reorder.runs"
+        assert sifted.metrics().counter_value(runs) >= 1
+        assert baseline.metrics().counter_value(runs) == 0
         chunk = sifted.chunk_stats[0]
         assert chunk.reorder_runs >= 1
         assert chunk.reorder_swaps >= 0
         assert chunk.reorder_nodes_after <= chunk.reorder_nodes_before
+
+    def test_dp_chunk_counts_the_constructor_sift_once(self):
+        """Chunks on one shared function table: the first pays (and
+        reports) the engine's initial sift, the second finds the table
+        already sifted and reports no sifting at all."""
+        from repro.experiments import campaigns
+        from repro.experiments.config import Scale
+
+        scale = Scale(name="reorder-chunks", circuits=("c17",), reorder=True)
+        circuit = get_circuit("c17")
+        # two faults leave too little garbage for the engine's growth
+        # trigger to re-sift the shared table in the second chunk
+        faults = collapsed_checkpoint_faults(circuit)[:2]
+        _, _, first = campaigns.run_chunk_body(
+            circuit, "c17", scale, faults, False, 0
+        )
+        manager = campaigns.circuit_functions("c17", scale).manager
+        assert first.reorder_runs == 1
+        assert first.reorder_swaps == manager.last_reorder.swaps
+        assert first.reorder_nodes_before == manager.last_reorder.nodes_before
+        assert first.reorder_nodes_after == manager.last_reorder.nodes_after
+        assert first.reorder_nodes_before > 0
+        # the sweep that opens the sift is one of the chunk's GC runs
+        assert first.gc_runs == 1
+
+        _, _, second = campaigns.run_chunk_body(
+            circuit, "c17", scale, faults, False, 1
+        )
+        assert campaigns.circuit_functions("c17", scale).manager is manager
+        assert manager.reorder_runs == 1
+        assert second.reorder_runs == 0
+        assert second.reorder_swaps == 0
+        assert second.reorder_nodes_before == 0
+        assert second.reorder_nodes_after == 0
+        assert second.gc_runs == 0
 
     def test_scale_effective_reorder(self, monkeypatch):
         """A resolved scale carries the env's policy; a ``Scale`` built

@@ -204,13 +204,16 @@ def test_reorder_env_turns_sifting_on_through_the_experiments_cli(
     with redirect_stdout(io.StringIO()):
         assert main(["--scale", "smoke", "fig4"]) == 0
     results = list(campaigns._memo.values())
-    assert results and all(r.reorder_runs() > 0 for r in results)
+    runs = "bdd.reorder.runs"
+    assert results and all(r.metrics().counter_value(runs) > 0 for r in results)
 
     clear_campaign_caches()
     monkeypatch.delenv("REPRO_REORDER")
     with redirect_stdout(io.StringIO()):
         assert main(["--scale", "smoke", "fig4"]) == 0
-    assert all(r.reorder_runs() == 0 for r in campaigns._memo.values())
+    assert all(
+        r.metrics().counter_value(runs) == 0 for r in campaigns._memo.values()
+    )
 
 
 @pytest.mark.parametrize("raw, sifted", [("1", True), ("0", False)])
@@ -231,7 +234,10 @@ def test_reorder_env_turns_sifting_on_through_verify(monkeypatch, raw, sifted):
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert engines
-    assert any(engine.reorder_runs > 0 for engine in engines) is sifted
+    assert (
+        any(engine.functions.manager.reorder_runs > 0 for engine in engines)
+        is sifted
+    )
 
 
 def test_cli_run_header_logs_without_errors(monkeypatch):

@@ -215,6 +215,17 @@ class TestCli:
         assert (tmp_path / "table1.txt").exists()
         assert "Table 1" in capsys.readouterr().out
 
+    def test_stats_prints_allocated_and_live_peaks(self, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["--scale", "smoke", "fig4", "--stats"]) == 0
+        out = capsys.readouterr().out
+        header = next(
+            line for line in out.splitlines() if line.startswith("circuit")
+        )
+        assert "peak-alloc" in header.split()
+        assert "peak-live" in header.split()
+
 
 class TestCliFailurePath:
     def test_failing_experiment_reported(self, monkeypatch, capsys):

@@ -53,8 +53,10 @@ def test_gc_engine_matches_no_gc_engine(name):
     assert _detectabilities(gc_engine, faults) == _detectabilities(
         ref_engine, faults
     )
-    assert gc_engine.gc_runs > 0, "threshold never tripped — test is vacuous"
-    assert ref_engine.gc_runs == 0
+    assert (
+        gc_engine.functions.manager.gc_runs > 0
+    ), "threshold never tripped — test is vacuous"
+    assert ref_engine.functions.manager.gc_runs == 0
 
 
 def test_gc_engine_matches_truth_table_oracle():
@@ -66,7 +68,7 @@ def test_gc_engine_matches_truth_table_oracle():
         assert engine.analyze(fault).detectability == (
             simulator.detectability(fault)
         )
-    assert engine.gc_runs > 0
+    assert engine.functions.manager.gc_runs > 0
 
 
 def test_gc_bounds_live_nodes_and_allocation():
@@ -77,8 +79,8 @@ def test_gc_bounds_live_nodes_and_allocation():
     ref_engine = DifferencePropagation(c95, gc_node_limit=NEVER)
     _detectabilities(gc_engine, faults)
     _detectabilities(ref_engine, faults)
-    gc_stats = gc_engine.manager_stats()
-    ref_stats = ref_engine.manager_stats()
+    gc_stats = gc_engine.functions.manager.stats()
+    ref_stats = ref_engine.functions.manager.stats()
     assert gc_stats.reclaimed_nodes > 0
     # Slot reuse: the collected manager's allocation high-water mark
     # stays well below the monotonically growing reference store.
@@ -97,7 +99,7 @@ def test_fault_analyses_held_across_gc_stay_valid():
     snapshots = [a.tests.density() for a in held]
     for fault in faults[8:]:
         engine.analyze(fault)
-    assert engine.gc_runs > 0
+    assert engine.functions.manager.gc_runs > 0
     assert [a.tests.density() for a in held] == snapshots
 
 
@@ -112,9 +114,14 @@ def test_serial_campaign_reports_gc_telemetry():
     assert stat.live_nodes > 0
     assert stat.cache_misses > 0
     assert 0.0 <= stat.cache_hit_rate <= 1.0
-    assert result.live_nodes() == stat.live_nodes
-    assert result.gc_runs() == stat.gc_runs
-    assert result.cache_hit_rate() == stat.cache_hit_rate
+    metrics = result.metrics()
+    assert metrics.gauge_value("bdd.nodes.live") == stat.live_nodes
+    assert metrics.gauge_value("bdd.nodes.peak_live") == stat.peak_live_nodes
+    assert stat.peak_live_nodes >= stat.live_nodes
+    assert metrics.counter_value("bdd.gc.runs") == stat.gc_runs
+    assert metrics.ratio(
+        "bdd.cache.hits", ("bdd.cache.hits", "bdd.cache.misses")
+    ) == stat.cache_hit_rate
 
 
 @pytest.mark.parallel
@@ -130,10 +137,13 @@ def test_parallel_campaign_reports_gc_telemetry():
         assert stat.live_nodes > 0
         assert 0.0 <= stat.cache_hit_rate <= 1.0
     # Aggregates fold every chunk.
-    assert result.live_nodes() == max(
+    metrics = result.metrics()
+    assert metrics.gauge_value("bdd.nodes.live") == max(
         s.live_nodes for s in result.chunk_stats
     )
-    assert result.gc_runs() == sum(s.gc_runs for s in result.chunk_stats)
+    assert metrics.counter_value("bdd.gc.runs") == sum(
+        s.gc_runs for s in result.chunk_stats
+    )
 
 
 def test_telemetry_report_lists_cached_campaigns():
@@ -164,8 +174,11 @@ def test_c432_campaign_gc_is_bit_identical():
     assert _detectabilities(gc_engine, faults) == _detectabilities(
         baseline, faults
     )
-    assert gc_engine.gc_runs > 0
-    stats = gc_engine.manager_stats()
+    stats = gc_engine.functions.manager.stats()
+    assert stats.gc_runs > 0
     assert stats.live_nodes <= gc_engine._gc_threshold
     assert stats.reclaimed_nodes > 0
-    assert stats.allocated_nodes < baseline.manager_stats().allocated_nodes
+    assert (
+        stats.allocated_nodes
+        < baseline.functions.manager.stats().allocated_nodes
+    )

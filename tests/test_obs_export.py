@@ -16,7 +16,7 @@ def registry():
     registry = MetricsRegistry()
     registry.counter("sim.words").inc(7424)
     registry.counter("campaign.cache_hit").inc(1)
-    registry.gauge("bdd.nodes.peak").set(1234)
+    registry.gauge("bdd.nodes.peak_allocated").set(1234)
     for value in (0.1, 0.2, 0.3, 0.4):
         registry.histogram("campaign.chunk_seconds").observe(value)
     return registry
@@ -46,7 +46,7 @@ def test_prometheus_lines_cover_all_kinds(registry):
     text = "\n".join(lines)
     assert "# TYPE repro_sim_words counter" in text
     assert 'repro_sim_words{bench="fig2"} 7424' in text
-    assert "# TYPE repro_bdd_nodes_peak gauge" in text
+    assert "# TYPE repro_bdd_nodes_peak_allocated gauge" in text
     assert "# TYPE repro_campaign_chunk_seconds summary" in text
     assert 'quantile="0.5"' in text
     assert 'repro_campaign_chunk_seconds_count{bench="fig2"} 4' in text
@@ -76,7 +76,7 @@ def test_jsonl_lines_are_self_describing(registry):
         "name": "sim.words",
         "value": 7424,
     }
-    assert by_name["bdd.nodes.peak"]["kind"] == "gauge"
+    assert by_name["bdd.nodes.peak_allocated"]["kind"] == "gauge"
     histogram = by_name["campaign.chunk_seconds"]
     assert histogram["kind"] == "histogram"
     assert histogram["count"] == 4

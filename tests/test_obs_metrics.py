@@ -1,15 +1,16 @@
-"""Metrics registry semantics and the legacy-telemetry views over it.
+"""Metrics registry semantics and the campaign telemetry rendered into it.
 
 Two layers under test: the instruments themselves (counter/gauge/
-histogram merge algebra, snapshot round-trips) and the campaign-side
-projections — ``ChunkStat`` as a view over a chunk registry,
-``CampaignResult.metrics()`` as the single source every legacy
-aggregate (total seconds, peak nodes, cache hit rate, the
-``telemetry_report()`` table) now reads from.
+histogram merge algebra, snapshot round-trips) and the campaign side —
+``ChunkStat.to_metrics()`` as the one place a chunk field gets its
+metric name, and ``CampaignResult.metrics()`` as the single source
+every aggregate (total seconds, node peaks, cache hit rate, the
+``telemetry_report()`` table) reads by name.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 from fractions import Fraction
@@ -117,7 +118,7 @@ def test_counter_merge_is_order_invariant(maps, rng):
 def test_snapshot_roundtrips_json_and_pickle():
     registry = MetricsRegistry()
     registry.counter("campaign.faults").inc(7)
-    registry.gauge("bdd.nodes.peak").set(123)
+    registry.gauge("bdd.nodes.peak_allocated").set(123)
     registry.histogram("campaign.chunk_seconds").observe(0.25)
     snapshot = registry.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
@@ -127,8 +128,35 @@ def test_snapshot_roundtrips_json_and_pickle():
 
 
 # ----------------------------------------------------------------------
-# ChunkStat as a registry view
+# ChunkStat rendered into a registry
 # ----------------------------------------------------------------------
+#: every numeric ChunkStat telemetry field and its one metric name
+CHUNK_FIELD_METRICS = {
+    "num_faults": "campaign.faults",
+    "seconds": "campaign.seconds",
+    "peak_nodes": "bdd.nodes.peak_allocated",
+    "peak_live_nodes": "bdd.nodes.peak_live",
+    "live_nodes": "bdd.nodes.live",
+    "reclaimed_nodes": "bdd.gc.reclaimed_nodes",
+    "gc_runs": "bdd.gc.runs",
+    "reorder_runs": "bdd.reorder.runs",
+    "reorder_swaps": "bdd.reorder.swaps",
+    "reorder_nodes_before": "bdd.reorder.nodes_before",
+    "reorder_nodes_after": "bdd.reorder.nodes_after",
+    "cache_hits": "bdd.cache.hits",
+    "cache_misses": "bdd.cache.misses",
+    "cache_evictions": "bdd.cache.evictions",
+    "words_simulated": "sim.words_simulated",
+    "batches": "sim.batches",
+    "batch_size": "sim.batch_size",
+    "patterns_spent": "sampling.patterns_spent",
+    "sampling_rounds": "sampling.rounds",
+}
+
+#: numeric fields that identify the chunk rather than measure it
+CHUNK_IDENTITY_FIELDS = {"index", "worker_pid"}
+
+
 def _stat(**overrides):
     from repro.experiments.campaigns import ChunkStat
 
@@ -149,16 +177,34 @@ def _stat(**overrides):
     return ChunkStat(**base)
 
 
-def test_chunkstat_metrics_roundtrip():
+def test_chunkstat_emits_each_field_once_under_its_metric_name():
     from repro.experiments.campaigns import ChunkStat
 
-    stat = _stat()
-    registry = stat.to_metrics()
-    assert registry.counter_value("campaign.faults") == 40
-    assert registry.gauge_value("bdd.nodes.peak") == 9000
-    back = ChunkStat.from_metrics(registry, index=stat.index, worker_pid=4242)
-    assert back == stat
-    assert back.cache_hit_rate == 0.6
+    numeric = [
+        spec.name
+        for spec in dataclasses.fields(ChunkStat)
+        if spec.type in ("int", "float")
+    ]
+    # A new telemetry field must be given a metric name (and this map
+    # an entry) — no field may travel unrendered.
+    assert set(numeric) == set(CHUNK_FIELD_METRICS) | CHUNK_IDENTITY_FIELDS
+    values = {name: 1000 + i for i, name in enumerate(numeric)}
+    stat = ChunkStat(**values, ci_widths=(0.25, 0.5))
+
+    snapshot = stat.to_metrics().snapshot()
+    emitted = [
+        *snapshot["counters"].items(),
+        *((name, gauge["value"]) for name, gauge in snapshot["gauges"].items()),
+    ]
+    assert sorted(emitted) == sorted(
+        (metric, values[name]) for name, metric in CHUNK_FIELD_METRICS.items()
+    )
+    for name in CHUNK_IDENTITY_FIELDS:
+        assert values[name] not in dict(emitted).values()
+    histograms = snapshot["histograms"]
+    assert histograms["campaign.chunk_seconds"]["count"] == 1
+    assert histograms["campaign.chunk_seconds"]["sum"] == values["seconds"]
+    assert histograms["sampling.ci_width"]["count"] == 2
 
 
 def test_campaign_aggregates_are_views_over_metrics():
@@ -187,21 +233,38 @@ def test_campaign_aggregates_are_views_over_metrics():
         ),
     )
     chunks = (
-        _stat(index=0, seconds=1.0, peak_nodes=5000, cache_hits=30, cache_misses=10),
-        _stat(index=1, seconds=0.5, peak_nodes=9000, cache_hits=30, cache_misses=30),
+        _stat(
+            index=0,
+            seconds=1.0,
+            peak_nodes=5000,
+            peak_live_nodes=900,
+            cache_hits=30,
+            cache_misses=10,
+        ),
+        _stat(
+            index=1,
+            seconds=0.5,
+            peak_nodes=9000,
+            peak_live_nodes=850,
+            cache_hits=30,
+            cache_misses=30,
+        ),
     )
     campaign = CampaignResult(
         circuit=circuit, results=results, exact=True, chunk_stats=chunks
     )
 
     assert campaign.total_seconds() == pytest.approx(1.5)
-    assert campaign.peak_nodes() == 9000  # max across chunks
-    assert campaign.live_nodes() == 800
-    assert campaign.reclaimed_nodes() == 600  # summed
-    assert campaign.gc_runs() == 4
-    assert campaign.cache_hit_rate() == pytest.approx(60 / 100)
-
     registry = campaign.metrics()
+    # gauges take the max across chunks, counters the sum
+    assert registry.gauge_value("bdd.nodes.peak_allocated") == 9000
+    assert registry.gauge_value("bdd.nodes.peak_live") == 900
+    assert registry.gauge_value("bdd.nodes.live") == 800
+    assert registry.counter_value("bdd.gc.reclaimed_nodes") == 600
+    assert registry.counter_value("bdd.gc.runs") == 4
+    assert registry.ratio(
+        "bdd.cache.hits", ("bdd.cache.hits", "bdd.cache.misses")
+    ) == pytest.approx(60 / 100)
     assert registry.counter_value("campaign.results") == 2
     assert registry.counter_value("campaign.detectable") == 1
     chunk_seconds = registry.histogram("campaign.chunk_seconds")
@@ -220,6 +283,8 @@ def test_telemetry_report_renders_from_metrics():
     finally:
         campaigns.clear_campaign_caches()
     assert any(line.lstrip().startswith("circuit") for line in lines)
+    header = next(line for line in lines if line.lstrip().startswith("circuit"))
+    assert "peak-alloc" in header.split() and "peak-live" in header.split()
     row = next(line for line in lines if "c17" in line)
     assert "stuck-at" in row and "%" in row
 

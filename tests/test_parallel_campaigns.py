@@ -255,13 +255,6 @@ def test_serial_and_parallel_metric_totals_agree():
         serial.chunk_stats
     )
     assert pm.histogram("campaign.chunk_seconds").count == len(par.chunk_stats)
-    # ChunkStat stays a faithful round-trip view on both paths.
-    for result in (serial, par):
-        for stat in result.chunk_stats:
-            rebuilt = campaigns.ChunkStat.from_metrics(
-                stat.to_metrics(), index=stat.index, worker_pid=stat.worker_pid
-            )
-            assert rebuilt == stat
     # And merging the per-chunk snapshots is order-invariant, so worker
     # completion order can never change the aggregate.
     snapshots = [s.to_metrics().snapshot() for s in par.chunk_stats]
