@@ -6,19 +6,19 @@ that Difference Propagation uses as its functional representation:
 * :class:`~repro.bdd.manager.BDDManager` — shared-node manager with a
   unique table, a size-bounded computed table
   (:class:`~repro.bdd.cache.OperationCache`), reference-counted
-  mark-sweep garbage collection (``incref``/``decref``/``gc``), and the
-  full set of binary operators built on ``ite``.
+  mark-sweep garbage collection (``incref``/``decref``/``gc``),
+  in-place sifting, and the four operators Table 1 needs: AND, OR,
+  XOR and NOT.
 * :class:`~repro.bdd.function.Function` — an immutable, operator-
   overloaded handle to a node in a manager (``&``, ``|``, ``^``, ``~``).
-* :mod:`~repro.bdd.ordering` — variable-ordering heuristics (netlist
-  fanin DFS, interleaving).
+* :mod:`~repro.bdd.ordering` — the netlist fanin-DFS variable order.
 * :mod:`~repro.bdd.dot` — Graphviz export for debugging.
 
 Example
 -------
->>> from repro.bdd import BDDManager
+>>> from repro.bdd import BDDManager, Function
 >>> m = BDDManager(["a", "b", "c"])
->>> a, b, c = m.vars("a", "b", "c")
+>>> a, b, c = (Function(m, m.var(name)) for name in ("a", "b", "c"))
 >>> f = (a & b) | ~c
 >>> f.satcount()
 5
@@ -32,15 +32,8 @@ from repro.bdd.cache import (
 )
 from repro.bdd.manager import BDDManager, FALSE, TRUE
 from repro.bdd.function import Function
-from repro.bdd.ordering import dfs_fanin_order, interleaved_order
+from repro.bdd.ordering import dfs_fanin_order
 from repro.bdd.dot import to_dot
-from repro.bdd.transfer import (
-    forest_size,
-    functions_equal,
-    pick_best_order,
-    reorder,
-    transfer,
-)
 
 __all__ = [
     "BDDManager",
@@ -52,11 +45,5 @@ __all__ = [
     "OperationCache",
     "DEFAULT_CACHE_SIZE",
     "dfs_fanin_order",
-    "interleaved_order",
     "to_dot",
-    "transfer",
-    "functions_equal",
-    "reorder",
-    "forest_size",
-    "pick_best_order",
 ]

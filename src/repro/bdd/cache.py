@@ -15,12 +15,11 @@ node, and a stale entry keyed on the old id would silently return a
 wrong result.
 
 Dynamic reordering (:meth:`BDDManager.sift
-<repro.bdd.manager.BDDManager.sift>`) cannot invalidate selectively:
-quantifier keys embed level *frozensets* and restrict/compose keys
-embed level ints, all of which change meaning when variables move, and
-even pure node-id keys describe results under the old order. A reorder
-therefore drops the computed table wholesale via
-:meth:`OperationCache.clear` (counters survive; they are cumulative).
+<repro.bdd.manager.BDDManager.sift>`) rewires nodes in place and frees
+the slots that die mid-pass without building the ``alive`` map that
+selective invalidation reads. A reorder therefore drops the computed
+table wholesale via :meth:`OperationCache.clear` (counters survive;
+they are cumulative).
 
 :class:`ManagerStats` is the plain-scalar snapshot of all of this
 (live/allocated nodes, GC totals, cache rates); it is picklable so the
@@ -33,45 +32,15 @@ from dataclasses import dataclass
 from itertools import islice
 
 #: Operation tags for the computed table, in stable display order.
+#: Every key is ``(op, f)`` or ``(op, f, g)`` over node ids only.
 OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_NOT = 3
-OP_ITE = 4
-OP_EXISTS = 5
-OP_FORALL = 6
-OP_COMPOSE = 7
-OP_RESTRICT = 8
 
-NUM_OPS = 9
+NUM_OPS = 4
 
-OP_NAMES: tuple[str, ...] = (
-    "and",
-    "or",
-    "xor",
-    "not",
-    "ite",
-    "exists",
-    "forall",
-    "compose",
-    "restrict",
-)
-
-#: Which key positions hold node ids, per op (position 0 is the tag,
-#: and the cached *value* is always a node). Quantifier keys carry a
-#: level frozenset and restrict/compose carry plain level ints — those
-#: must not be mistaken for node ids during invalidation.
-_NODE_POSITIONS: dict[int, tuple[int, ...]] = {
-    OP_AND: (1, 2),
-    OP_OR: (1, 2),
-    OP_XOR: (1, 2),
-    OP_NOT: (1,),
-    OP_ITE: (1, 2, 3),
-    OP_EXISTS: (1,),
-    OP_FORALL: (1,),
-    OP_COMPOSE: (1, 3),
-    OP_RESTRICT: (1,),
-}
+OP_NAMES: tuple[str, ...] = ("and", "or", "xor", "not")
 
 #: Default computed-table bound. Roughly 100 MB of dict at CPython's
 #: per-entry cost — far below what unbounded campaign tables reached.
@@ -176,16 +145,12 @@ class OperationCache:
         the stale entry's key would collide with a live lookup.
         """
         data = self.data
-        positions = _NODE_POSITIONS
+        # A key is (op, f) or (op, f, g): key[1] and key[-1] are its
+        # operands (the same node for NOT).
         dead_keys = []
         for key, result in data.items():
-            if not alive[result]:
+            if not (alive[result] and alive[key[1]] and alive[key[-1]]):
                 dead_keys.append(key)
-                continue
-            for p in positions[key[0]]:
-                if not alive[key[p]]:
-                    dead_keys.append(key)
-                    break
         for key in dead_keys:
             del data[key]
         self.invalidated += len(dead_keys)

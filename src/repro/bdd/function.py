@@ -88,17 +88,6 @@ class Function:
     def __invert__(self) -> "Function":
         return self._wrap(self.manager.apply_not(self.node))
 
-    def xnor(self, other: "Function") -> "Function":
-        return self._wrap(self.manager.apply_xnor(self.node, self._peer(other)))
-
-    def implies(self, other: "Function") -> "Function":
-        return self._wrap(self.manager.apply_implies(self.node, self._peer(other)))
-
-    def ite(self, then: "Function", otherwise: "Function") -> "Function":
-        return self._wrap(
-            self.manager.ite(self.node, self._peer(then), self._peer(otherwise))
-        )
-
     # ------------------------------------------------------------------
     # Predicates / equality
     # ------------------------------------------------------------------
@@ -128,25 +117,10 @@ class Function:
         )
 
     # ------------------------------------------------------------------
-    # Cofactors & quantification
-    # ------------------------------------------------------------------
-    def restrict(self, name: str, value: bool) -> "Function":
-        return self._wrap(self.manager.restrict(self.node, name, value))
-
-    def compose(self, name: str, g: "Function") -> "Function":
-        return self._wrap(self.manager.compose(self.node, name, self._peer(g)))
-
-    def exists(self, *names: str) -> "Function":
-        return self._wrap(self.manager.exists(self.node, names))
-
-    def forall(self, *names: str) -> "Function":
-        return self._wrap(self.manager.forall(self.node, names))
-
-    # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def satcount(self, nvars: int | None = None) -> int:
-        return self.manager.satcount(self.node, nvars)
+    def satcount(self) -> int:
+        return self.manager.satcount(self.node)
 
     def density(self) -> Fraction:
         """Fraction of the full input space satisfying this function.

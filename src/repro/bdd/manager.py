@@ -40,7 +40,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.bdd.cache import (
     DEFAULT_CACHE_SIZE,
@@ -51,13 +51,8 @@ from repro.obs import resource as _resource
 from repro.obs.trace import span as _span
 from repro.bdd.cache import (
     OP_AND as _OP_AND,
-    OP_COMPOSE as _OP_COMPOSE,
-    OP_EXISTS as _OP_EXISTS,
-    OP_FORALL as _OP_FORALL,
-    OP_ITE as _OP_ITE,
     OP_NOT as _OP_NOT,
     OP_OR as _OP_OR,
-    OP_RESTRICT as _OP_RESTRICT,
     OP_XOR as _OP_XOR,
 )
 
@@ -217,9 +212,6 @@ class BDDManager:
 
     def high(self, u: int) -> int:
         return self._high[u]
-
-    def is_terminal(self, u: int) -> bool:
-        return u <= TRUE
 
     @property
     def num_nodes(self) -> int:
@@ -400,8 +392,8 @@ class BDDManager:
     # sound:
     #
     # * the computed table and the counting memo are dropped wholesale
-    #   at the start and end of a pass (their keys embed levels, and
-    #   results describe the old order — see bdd/cache.py);
+    #   at the start and end of a pass (memo counts depend on node
+    #   levels; for the computed table see bdd/cache.py);
     # * every pass starts with a garbage sweep, so reordering shares
     #   gc()'s contract: raw node ints NOT registered via incref() are
     #   treated as garbage. Call sites must hold roots, which is why
@@ -724,47 +716,6 @@ class BDDManager:
                 stack.append(high[v])
 
     # ------------------------------------------------------------------
-    # Core operator: if-then-else
-    # ------------------------------------------------------------------
-    def ite(self, f: int, g: int, h: int) -> int:
-        """``(f & g) | (~f & h)`` — the universal ternary connective."""
-        result = self._ite(f, g, h)
-        self._cache.maybe_evict()
-        return result
-
-    def _ite(self, f: int, g: int, h: int) -> int:
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (_OP_ITE, f, g, h)
-        cache = self._cache
-        result = cache.data.get(key)
-        if result is not None:
-            cache.hits[_OP_ITE] += 1
-            return result
-        cache.misses[_OP_ITE] += 1
-        levels = (self._level[f], self._level[g], self._level[h])
-        top = min(levels)
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        h0, h1 = self._cofactors(h, top)
-        low = self._ite(f0, g0, h0)
-        high = self._ite(f1, g1, h1)
-        result = self._mk(top, low, high)
-        cache.data[key] = result
-        return result
-
-    def _cofactors(self, u: int, level: int) -> tuple[int, int]:
-        if self._level[u] == level:
-            return self._low[u], self._high[u]
-        return u, u
-
-    # ------------------------------------------------------------------
     # Binary / unary operators
     # ------------------------------------------------------------------
     def apply_not(self, f: int) -> int:
@@ -870,144 +821,19 @@ class BDDManager:
         cache_obj.maybe_evict()
         return result
 
-    def apply_nand(self, f: int, g: int) -> int:
-        return self.apply_not(self.apply_and(f, g))
-
-    def apply_nor(self, f: int, g: int) -> int:
-        return self.apply_not(self.apply_or(f, g))
-
-    def apply_xnor(self, f: int, g: int) -> int:
-        return self.apply_not(self.apply_xor(f, g))
-
-    def apply_implies(self, f: int, g: int) -> int:
-        return self.ite(f, g, TRUE)
-
-    # ------------------------------------------------------------------
-    # Cofactor / quantification / composition
-    # ------------------------------------------------------------------
-    def restrict(self, f: int, name: str, value: bool) -> int:
-        """Cofactor of ``f`` with variable ``name`` fixed to ``value``."""
-        level = self.level_of(name)
-        result = self._restrict(f, level, bool(value))
-        self._cache.maybe_evict()
-        return result
-
-    def _restrict(self, f: int, level: int, value: bool) -> int:
-        if self._level[f] > level:
-            return f
-        key = (_OP_RESTRICT, f, level, value)
-        cache = self._cache
-        result = cache.data.get(key)
-        if result is not None:
-            cache.hits[_OP_RESTRICT] += 1
-            return result
-        cache.misses[_OP_RESTRICT] += 1
-        if self._level[f] == level:
-            result = self._high[f] if value else self._low[f]
-        else:
-            result = self._mk(
-                self._level[f],
-                self._restrict(self._low[f], level, value),
-                self._restrict(self._high[f], level, value),
-            )
-        cache.data[key] = result
-        return result
-
-    def exists(self, f: int, names: Iterable[str]) -> int:
-        """Existential quantification over the given variables."""
-        levels = frozenset(self.level_of(n) for n in names)
-        result = self._quantify(f, levels, _OP_EXISTS)
-        self._cache.maybe_evict()
-        return result
-
-    def forall(self, f: int, names: Iterable[str]) -> int:
-        """Universal quantification over the given variables."""
-        levels = frozenset(self.level_of(n) for n in names)
-        result = self._quantify(f, levels, _OP_FORALL)
-        self._cache.maybe_evict()
-        return result
-
-    def _quantify(self, f: int, levels: frozenset[int], op: int) -> int:
-        if f <= TRUE or not levels:
-            return f
-        if self._level[f] > max(levels):
-            return f
-        key = (op, f, levels)
-        cache = self._cache
-        result = cache.data.get(key)
-        if result is not None:
-            cache.hits[op] += 1
-            return result
-        cache.misses[op] += 1
-        low = self._quantify(self._low[f], levels, op)
-        high = self._quantify(self._high[f], levels, op)
-        if self._level[f] in levels:
-            if op == _OP_EXISTS:
-                result = self.apply_or(low, high)
-            else:
-                result = self.apply_and(low, high)
-        else:
-            result = self._mk(self._level[f], low, high)
-        cache.data[key] = result
-        return result
-
-    def compose(self, f: int, name: str, g: int) -> int:
-        """Substitute function ``g`` for variable ``name`` in ``f``."""
-        level = self.level_of(name)
-        result = self._compose(f, level, g)
-        self._cache.maybe_evict()
-        return result
-
-    def _compose(self, f: int, level: int, g: int) -> int:
-        if self._level[f] > level:
-            return f
-        key = (_OP_COMPOSE, f, level, g)
-        cache = self._cache
-        result = cache.data.get(key)
-        if result is not None:
-            cache.hits[_OP_COMPOSE] += 1
-            return result
-        cache.misses[_OP_COMPOSE] += 1
-        if self._level[f] == level:
-            result = self._ite(g, self._high[f], self._low[f])
-        else:
-            low = self._compose(self._low[f], level, g)
-            high = self._compose(self._high[f], level, g)
-            # The substituted children may no longer respect the order
-            # relative to level(f) if g's top variable sits above f's —
-            # rebuild through ite on the decision variable to stay safe.
-            var_node = self._mk(self._level[f], FALSE, TRUE)
-            result = self._ite(var_node, high, low)
-        cache.data[key] = result
-        return result
-
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def satcount(self, f: int, nvars: int | None = None) -> int:
-        """Number of satisfying assignments over ``nvars`` variables.
-
-        ``nvars`` defaults to the manager's full variable count, which is
-        what detectability/syndrome computations want (every minterm is a
-        full primary-input vector); it may exceed the count to model
-        extra free variables, but cannot be smaller.
-        """
-        if nvars is None:
-            nvars = self.num_vars
-        elif nvars < self.num_vars:
-            raise BDDError(
-                f"nvars={nvars} is smaller than the manager's "
-                f"{self.num_vars} variables"
-            )
+    def satcount(self, f: int) -> int:
+        """Number of satisfying full assignments (primary-input vectors)."""
         if f == FALSE:
             return 0
         if f == TRUE:
-            return 1 << nvars
+            return 1 << self.num_vars
         count = self._satcount_rec(f, self._count_memo)
-        # _satcount_rec counts assignments to variables strictly below
-        # level(f) within the manager's own variable set; scale by the
-        # skipped levels above the root and any extra free variables.
-        return count << (self._level[f] + nvars - self.num_vars)
+        # _satcount_rec counts assignments to the variables at and below
+        # level(f); scale by the skipped levels above the root.
+        return count << self._level[f]
 
     def _satcount_rec(self, f: int, memo: dict[int, int]) -> int:
         """Count assignments over levels ``level(f) .. num_vars-1``."""
@@ -1115,29 +941,6 @@ class BDDManager:
                 raise BDDError(f"assignment missing variable {name!r}") from None
             u = self._high[u] if value else self._low[u]
         return u == TRUE
-
-    # ------------------------------------------------------------------
-    # Bulk helpers
-    # ------------------------------------------------------------------
-    def cube(self, literals: dict[str, bool]) -> int:
-        """Conjunction of literals, e.g. ``cube({'a': True, 'b': False})``."""
-        result = TRUE
-        for name, value in literals.items():
-            lit = self.var(name) if value else self.nvar(name)
-            result = self.apply_and(result, lit)
-        return result
-
-    def disjoin(self, nodes: Sequence[int]) -> int:
-        result = FALSE
-        for node in nodes:
-            result = self.apply_or(result, node)
-        return result
-
-    def conjoin(self, nodes: Sequence[int]) -> int:
-        result = TRUE
-        for node in nodes:
-            result = self.apply_and(result, node)
-        return result
 
     def clear_caches(self) -> None:
         """Drop the computed table (node store and unique table are kept)."""

@@ -3,8 +3,7 @@
 The paper notes that the primary-input order given in the benchmark data
 is "meaningful" and uses it directly; we also provide the classic DFS
 fanin heuristic (Malik et al. / Fujita et al.) as an alternative for
-circuits where the declared order is poor, plus a simple interleaver for
-multi-operand datapath circuits.
+circuits where the declared order is poor.
 
 These functions operate on :class:`repro.circuit.netlist.Circuit` duck-
 typed objects — anything exposing ``inputs``, ``outputs`` and
@@ -37,8 +36,7 @@ def dfs_fanin_order(circuit: _NetlistLike) -> list[str]:
 
     Iterative on an explicit stack: fanin cones can be deeper than the
     interpreter's recursion limit (a 5000-gate inverter chain is a
-    legitimate netlist), which used to blow up a recursive walk here the
-    same way it once did in ``transfer()``.
+    legitimate netlist).
     """
     order: list[str] = []
     seen: set[str] = set()
@@ -64,18 +62,3 @@ def dfs_fanin_order(circuit: _NetlistLike) -> list[str]:
             order.append(name)
     return order
 
-
-def interleaved_order(*groups: Sequence[str]) -> list[str]:
-    """Interleave several operand bit-vectors: ``a0 b0 a1 b1 ...``.
-
-    The classic good order for adders/comparators, where bit *i* of each
-    operand interacts only with nearby bits of the others. Groups may
-    have different lengths; shorter groups simply run out first.
-    """
-    order: list[str] = []
-    longest = max((len(g) for g in groups), default=0)
-    for i in range(longest):
-        for group in groups:
-            if i < len(group):
-                order.append(group[i])
-    return order

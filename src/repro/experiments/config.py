@@ -1,18 +1,18 @@
 """Experiment scales.
 
 Exact OBDD analysis of every fault on the big circuits is a batch-job
-workload (the paper ran on late-80s workstations for hours); two scales
-are provided:
+workload (the paper ran on late-80s workstations for hours). Every
+preset builds exact good functions on every circuit, C1908 under the
+fanin-DFS order; none sets :attr:`Scale.decompose`:
 
 * ``ci`` (default) — full fault sets wherever a circuit analyzes in
-  milliseconds per fault, seeded samples on the three big circuits, and
-  cut-point decomposition on C1908. The entire experiment suite runs in
-  a few minutes and still reproduces every qualitative finding.
+  milliseconds per fault, seeded samples on the three big circuits.
+* ``smoke`` — the circuits through C432 with small samples.
 * ``paper`` — the paper's fault-set sizes: complete collapsed
   checkpoint sets everywhere, complete NFBF sets through the 74LS181,
   ≈1000-fault distance-weighted NFBF samples on the large circuits, and
-  functional decomposition for C499 and larger (exactly the paper's own
-  concession on those circuits).
+  exact functions where the paper fell back on functional decomposition
+  (C499 and larger).
 
 Select with ``REPRO_SCALE=paper`` in the environment or the ``--scale``
 CLI flag.

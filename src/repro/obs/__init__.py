@@ -44,12 +44,7 @@ from repro.obs.bench import (
     write_bench_artifact,
 )
 from repro.obs.encode import json_safe
-from repro.obs.export import (
-    jsonl_lines,
-    prometheus_lines,
-    resource_jsonl_lines,
-    resource_prometheus_lines,
-)
+from repro.obs.export import jsonl_lines, prometheus_lines
 from repro.obs.logging import configure_logging, get_logger
 from repro.obs.manifest import RunManifest, git_sha, numpy_version
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -136,8 +131,6 @@ __all__ = [
     "read_bench_artifact",
     "render_tree",
     "resource_enabled",
-    "resource_jsonl_lines",
-    "resource_prometheus_lines",
     "resource_sampler",
     "run_key",
     "set_tracer",

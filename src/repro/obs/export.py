@@ -2,8 +2,7 @@
 
 The registry snapshots pinned by the test suite are exactly the
 numbers an external scraper should see — so these exporters are thin,
-lossless renderings of :meth:`MetricsRegistry.snapshot` (and of
-:class:`~repro.obs.resource.ResourceSeries` summaries), not a second
+lossless renderings of :meth:`MetricsRegistry.snapshot`, not a second
 bookkeeping system:
 
 * :func:`prometheus_lines` — the Prometheus text exposition format
@@ -12,10 +11,6 @@ bookkeeping system:
   ``_sum``/``_count``).
 * :func:`jsonl_lines` — one self-describing JSON object per metric,
   for log pipelines and ``jq``.
-* :func:`resource_prometheus_lines` / :func:`resource_jsonl_lines` —
-  the same two formats over a resource time-series (peaks as gauges;
-  full samples with millisecond timestamps when an epoch base is
-  given).
 
 ``python -m repro.obs export ARTIFACT`` renders the metrics snapshot
 embedded in any ``BENCH_*.json`` artifact in either format.
@@ -28,7 +23,6 @@ import re
 from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.resource import ResourceSeries
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_VALUE_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
@@ -138,59 +132,6 @@ def jsonl_lines(
         for record in records:
             record["labels"] = dict(labels)
     return [json.dumps(record, sort_keys=True) for record in records]
-
-
-# ----------------------------------------------------------------------
-# Resource series
-# ----------------------------------------------------------------------
-def resource_prometheus_lines(
-    series: ResourceSeries,
-    labels: Mapping[str, Any] | None = None,
-    base_epoch: float | None = None,
-    prefix: str = PREFIX,
-) -> list[str]:
-    """A resource series as Prometheus gauges.
-
-    Peaks always export (``repro_resource_peak_<field>``); with
-    ``base_epoch`` (the run's start, epoch seconds) every sample also
-    exports with its millisecond timestamp, giving scrape-compatible
-    backfill of the whole curve.
-    """
-    label_str = _labels(labels)
-    lines: list[str] = []
-    for field in series.fields():
-        flat = metric_name(f"resource_peak_{field}", prefix)
-        lines.append(f"# TYPE {flat} gauge")
-        lines.append(f"{flat}{label_str} {_num(series.peak(field))}")
-    if base_epoch is not None:
-        for field in series.fields():
-            flat = metric_name(f"resource_{field}", prefix)
-            lines.append(f"# TYPE {flat} gauge")
-            for t, value in series.series(field):
-                ts_ms = int((base_epoch + t) * 1000)
-                lines.append(f"{flat}{label_str} {_num(value)} {ts_ms}")
-    return lines
-
-
-def resource_jsonl_lines(
-    series: ResourceSeries, labels: Mapping[str, Any] | None = None
-) -> list[str]:
-    """One JSON object per sample (plus a leading summary record)."""
-    head: dict[str, Any] = {
-        "kind": "resource-series",
-        "interval": series.interval,
-        "num_samples": len(series.samples),
-        "peaks": {name: series.peak(name) for name in series.fields()},
-    }
-    if labels:
-        head["labels"] = dict(labels)
-    lines = [json.dumps(head, sort_keys=True)]
-    for sample in series.samples:
-        record: dict[str, Any] = {"kind": "resource-sample", **sample}
-        if labels:
-            record["labels"] = dict(labels)
-        lines.append(json.dumps(record, sort_keys=True))
-    return lines
 
 
 def export_artifact_metrics(

@@ -35,15 +35,15 @@ from typing import Sequence
 from repro import obs
 from repro.circuit.netlist import Circuit
 from repro.core.metrics import Fault
+from repro.experiments.config import DEFAULT_CI_WIDTH, DEFAULT_PATTERN_BUDGET
 from repro.sampling.substreams import substream_seed
 from repro.sampling.wilson import WilsonInterval, wilson_interval
 from repro.simulation import packing
 from repro.simulation.bitparallel import BitParallelSimulator
 
-#: Default sequential-sampling policy, overridable per Scale.
-DEFAULT_CI_WIDTH = 0.05
+#: Default sequential-sampling policy; the CI width and pattern budget
+#: defaults live with :class:`~repro.experiments.config.Scale`.
 DEFAULT_CONFIDENCE = 0.95
-DEFAULT_PATTERN_BUDGET = 4096
 DEFAULT_INITIAL_PATTERNS = 256
 
 

@@ -18,15 +18,6 @@ class TestAlgebra:
         assert (f ^ f).is_zero
         assert (f | ~f).is_one
 
-    def test_xnor_and_implies(self, abcd):
-        a, b, *_ = abcd
-        assert a.xnor(b) == ~(a ^ b)
-        assert a.implies(b) == (~a | b)
-
-    def test_ite(self, abcd):
-        a, b, c, _ = abcd
-        assert a.ite(b, c) == ((a & b) | (~a & c))
-
     def test_mixing_managers_rejected(self, abcd):
         other = BDDManager(["a"])
         foreign = Function(other, other.var("a"))
@@ -65,14 +56,6 @@ class TestAnalysis:
     def test_support(self, abcd):
         a, _, c, _ = abcd
         assert (a ^ c).support() == frozenset({"a", "c"})
-
-    def test_restrict_compose_quantify(self, abcd):
-        a, b, c, _ = abcd
-        f = (a & b) | c
-        assert f.restrict("c", True).is_one
-        assert f.compose("c", a & b) == (a & b)
-        assert f.exists("a", "b") == f.exists("a").exists("b")
-        assert f.forall("c") == (a & b)
 
     def test_minterm_roundtrip(self, abcd):
         a, b, *_ = abcd

@@ -212,6 +212,27 @@ class TestMemoInvalidation:
             not v for v in truth_table(m, f.node)
         )
 
+    def test_entry_with_a_dead_operand_dies_with_it(self):
+        m = fresh_manager()
+        # f = a·b, built without ever creating the literal a, so the
+        # literal allocated next holds the highest slot id.
+        f = Function(m, m.apply_not(m.apply_or(m.nvar("a"), m.nvar("b"))))
+        a = m.var("a")  # unrooted
+        assert a > f.node
+        # AND(f, a) == f: the result and f stay live, only a dies.
+        assert m.apply_and(f.node, a) == f.node
+        m.gc()
+        assert (OP_AND, f.node, a) not in m._cache.data
+        # The freed slot with the highest id is reused first: refill
+        # it with the literal c, and a stale entry would answer f.
+        c = m.var("c")
+        assert c == a
+        abc = m.apply_and(f.node, c)
+        for values in itertools.product((False, True), repeat=3):
+            assignment = dict.fromkeys(BOOLEXPR_NAMES, False)
+            assignment.update(zip("abc", values))
+            assert m.evaluate(abc, assignment) == all(values)
+
     @settings(max_examples=40, deadline=None)
     @given(expr=boolexprs())
     def test_satcount_memo_survives_gc_for_live_roots(self, expr):
@@ -313,9 +334,10 @@ class TestManagerStats:
         cache = OperationCache(bound=16)
         assert len(cache.op_stats()) == len(OP_NAMES)
         m = fresh_manager()
-        m.restrict(build_bdd(m, ("xor", "a", "b")), "a", True)
+        m.apply_not(build_bdd(m, ("xor", "a", "b")))
         by_name = {op.op: op for op in m.stats().op_stats}
-        assert by_name["restrict"].lookups > 0
+        assert tuple(by_name) == OP_NAMES
+        assert by_name["not"].lookups > 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bdd import BDDManager, dfs_fanin_order, interleaved_order, to_dot
+from repro.bdd import BDDManager, dfs_fanin_order, to_dot
 from repro.bdd.manager import FALSE, TRUE
 from repro.circuit.builder import CircuitBuilder
 
@@ -42,27 +42,6 @@ class TestDfsFaninOrder:
         b.output(net)
         order = dfs_fanin_order(b.build())
         assert order == [f"x{k}" for k in range(5001)]
-
-
-class TestInterleavedOrder:
-    def test_round_robin(self):
-        assert interleaved_order(["a0", "a1"], ["b0", "b1"]) == [
-            "a0",
-            "b0",
-            "a1",
-            "b1",
-        ]
-
-    def test_unequal_lengths(self):
-        assert interleaved_order(["a0", "a1", "a2"], ["b0"]) == [
-            "a0",
-            "b0",
-            "a1",
-            "a2",
-        ]
-
-    def test_empty(self):
-        assert interleaved_order() == []
 
 
 class TestDot:

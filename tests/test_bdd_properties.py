@@ -112,51 +112,6 @@ def test_canonicity(expr_a, expr_b):
     assert (node_a == node_b) == same_function
 
 
-@settings(max_examples=100, deadline=None)
-@given(_expressions(), st.integers(0, _NUM_VARS - 1), st.booleans())
-def test_restrict_matches_truth_table(expr, var_index, value):
-    manager = BDDManager(_NAMES)
-    node = _to_bdd(manager, expr)
-    restricted = manager.restrict(node, _NAMES[var_index], value)
-    for assignment in _all_assignments():
-        fixed = dict(assignment)
-        fixed[_NAMES[var_index]] = value
-        assert manager.evaluate(restricted, assignment) == _eval(expr, fixed)
-    # The restricted function must not depend on the variable.
-    assert _NAMES[var_index] not in manager.support(restricted)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_expressions(), st.integers(0, _NUM_VARS - 1))
-def test_quantification_matches_truth_table(expr, var_index):
-    manager = BDDManager(_NAMES)
-    node = _to_bdd(manager, expr)
-    name = _NAMES[var_index]
-    exist = manager.exists(node, [name])
-    universal = manager.forall(node, [name])
-    for assignment in _all_assignments():
-        low = dict(assignment, **{name: False})
-        high = dict(assignment, **{name: True})
-        expected_e = _eval(expr, low) or _eval(expr, high)
-        expected_a = _eval(expr, low) and _eval(expr, high)
-        assert manager.evaluate(exist, assignment) == expected_e
-        assert manager.evaluate(universal, assignment) == expected_a
-
-
-@settings(max_examples=80, deadline=None)
-@given(_expressions(), _expressions(), st.integers(0, _NUM_VARS - 1))
-def test_compose_matches_truth_table(expr, sub_expr, var_index):
-    manager = BDDManager(_NAMES)
-    node = _to_bdd(manager, expr)
-    sub = _to_bdd(manager, sub_expr)
-    name = _NAMES[var_index]
-    composed = manager.compose(node, name, sub)
-    for assignment in _all_assignments():
-        patched = dict(assignment)
-        patched[name] = _eval(sub_expr, assignment)
-        assert manager.evaluate(composed, assignment) == _eval(expr, patched)
-
-
 @settings(max_examples=80, deadline=None)
 @given(_expressions())
 def test_support_is_exact(expr):

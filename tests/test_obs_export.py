@@ -1,4 +1,4 @@
-"""Exporters: Prometheus text format and JSONL over metrics/resources."""
+"""Exporters: Prometheus text format and JSONL over metric snapshots."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs import export
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.resource import ResourceSeries
 
 
 @pytest.fixture
@@ -20,18 +19,6 @@ def registry():
     for value in (0.1, 0.2, 0.3, 0.4):
         registry.histogram("campaign.chunk_seconds").observe(value)
     return registry
-
-
-@pytest.fixture
-def series():
-    return ResourceSeries(
-        interval=0.05,
-        samples=(
-            {"t": 0.0, "rss_bytes": 1000.0, "bdd.live_nodes": 5},
-            {"t": 0.05, "rss_bytes": 2000.0, "bdd.live_nodes": 9},
-            {"t": 0.1, "rss_bytes": 1500.0, "bdd.live_nodes": 7},
-        ),
-    )
 
 
 def test_metric_name_sanitizes_and_prefixes():
@@ -80,35 +67,6 @@ def test_jsonl_lines_are_self_describing(registry):
     histogram = by_name["campaign.chunk_seconds"]
     assert histogram["kind"] == "histogram"
     assert histogram["count"] == 4
-
-
-def test_resource_prometheus_peaks_and_backfill(series):
-    peaks_only = export.resource_prometheus_lines(series)
-    text = "\n".join(peaks_only)
-    assert "repro_resource_peak_rss_bytes 2000.0" in text
-    assert "repro_resource_peak_bdd_live_nodes 9" in text
-    assert " 1000" not in text  # no per-sample lines without an epoch
-
-    backfill = export.resource_prometheus_lines(series, base_epoch=1000.0)
-    stamped = [
-        line
-        for line in backfill
-        if line.startswith("repro_resource_rss_bytes ")
-    ]
-    assert len(stamped) == 3
-    assert stamped[0].endswith(" 1000000")  # epoch ms of t=0
-    assert stamped[1].endswith(" 1000050")
-
-
-def test_resource_jsonl_head_plus_samples(series):
-    lines = export.resource_jsonl_lines(series, labels={"run": "fig2"})
-    head = json.loads(lines[0])
-    assert head["kind"] == "resource-series"
-    assert head["num_samples"] == 3
-    assert head["peaks"]["rss_bytes"] == 2000.0
-    samples = [json.loads(line) for line in lines[1:]]
-    assert [s["kind"] for s in samples] == ["resource-sample"] * 3
-    assert all(s["labels"] == {"run": "fig2"} for s in samples)
 
 
 def test_export_artifact_metrics_labels(registry):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import doctest
 import importlib
+import pkgutil
 
 import repro
 
@@ -56,3 +58,18 @@ def test_package_docstrings():
     ):
         module = importlib.import_module(module_name)
         assert module.__doc__ and len(module.__doc__) > 60
+
+
+def test_docstring_examples_run():
+    """Every ``>>>`` example in the package's docstrings still holds."""
+    names = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.name.rsplit(".", 1)[-1] != "__main__"
+    ]
+    failures = {}
+    for name in names:
+        result = doctest.testmod(importlib.import_module(name))
+        if result.failed:
+            failures[name] = result.failed
+    assert not failures, failures
